@@ -5,6 +5,7 @@ Produces, under artifacts/:
   train_random.csv       uniformly sampled labeled states (for comparison)
   train_rollout.csv      aggregation samples from the stage-1 and stage-2
                          networks' own closed loops, labeled by the solver
+                         (`generate_dataset_trajectories` with `net`)
   train_closed_loop.csv  aggregation samples from the stage-3 network run
                          through setpoint-step and setpoint-correction
                          scenarios, and from the stage-4 network in
@@ -19,7 +20,9 @@ already exist are kept (delete them to force a rebuild), unless a file they
 are derived from was rebuilt in the same run: a new trajectory set rebuilds
 the policy chain (rollout and closed-loop sets, policy), and a new policy
 is quantized again.  Runtime is dominated by labeling states with horizon
-solves.
+solves.  The trajectory, random and rollout sets all come from the one
+labelling loop of `resonmpc.policy`; the closed-loop sets from
+`resonmpc.harness.generate_dataset_closed_loop`.
 """
 
 import sys
@@ -35,13 +38,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from resonmpc.config import DEFAULT_CONVERTER
 from resonmpc.harness import Scenario, generate_dataset_closed_loop
 from resonmpc.nmpc import NmpcConfig
+from resonmpc.plant import perturbed_params
 from resonmpc.policy import (
     DEFAULT_INPUT_HI,
     DEFAULT_INPUT_LO,
     Dataset,
     TrainConfig,
     generate_dataset_random,
-    generate_dataset_rollouts,
     generate_dataset_trajectories,
     init_network,
     load_network,
@@ -78,11 +81,6 @@ def _report(name: str, data: Dataset, t0: float):
           f"({time.time() - t0:.0f}s)")
 
 
-def _perturbed(params, rng):
-    fr, fl = rng.uniform(1.0 - PLANT_ERROR, 1.0 + PLANT_ERROR, 2)
-    return replace(params, r_l=params.r_l * fr, l_r=params.l_r * fl)
-
-
 def _step_scenarios(n, params, seed):
     """Four 5-cycle setpoints per run after the warmup, on a perturbed plant.
 
@@ -96,7 +94,7 @@ def _step_scenarios(n, params, seed):
         setpoints = rng.uniform(DEFAULT_INPUT_LO[2], DEFAULT_INPUT_HI[2], 4)
         out.append(Scenario(
             schedule=tuple((5 + 5 * k, float(p)) for k, p in enumerate(setpoints)),
-            total_cycles=25, plant_params=_perturbed(params, rng),
+            total_cycles=25, plant_params=perturbed_params(params, rng, PLANT_ERROR),
             model_params=params, controller="dnn",
         ))
     return out
@@ -115,7 +113,7 @@ def _correction_scenarios(n, params, seed):
         p_des = float(rng.uniform(500.0, 3500.0))
         out.append(Scenario(
             schedule=((5, p_des),), total_cycles=65,
-            plant_params=_perturbed(params, rng), model_params=params,
+            plant_params=perturbed_params(params, rng, PLANT_ERROR), model_params=params,
             controller="dnn", correction=True,
         ))
     return out
@@ -172,13 +170,13 @@ def build_policy(data: Dataset, params, nmpc_cfg):
     # labeling them removes spurious fixed points of its own
     t0 = time.time()
     roll = Dataset.concat(
-        generate_dataset_rollouts(
-            net, N_ROLL, TRAJ_STEPS, nmpc_cfg, params, seed=17,
-            plant_error=PLANT_ERROR,
+        generate_dataset_trajectories(
+            N_ROLL, TRAJ_STEPS, nmpc_cfg, params, seed=17,
+            plant_error=PLANT_ERROR, net=net,
         ),
-        generate_dataset_rollouts(
-            net, N_ROLL_HIGH, TRAJ_STEPS, nmpc_cfg, params, seed=19,
-            plant_error=PLANT_ERROR, input_lo=HIGH_LO, input_hi=DEFAULT_INPUT_HI,
+        generate_dataset_trajectories(
+            N_ROLL_HIGH, TRAJ_STEPS, nmpc_cfg, params, seed=19,
+            plant_error=PLANT_ERROR, input_lo=HIGH_LO, input_hi=DEFAULT_INPUT_HI, net=net,
         ),
     )
     _report("rollout round 1", roll, t0)
@@ -191,11 +189,11 @@ def build_policy(data: Dataset, params, nmpc_cfg):
 
     # round 2: near-max-power setpoints
     t0 = time.time()
-    roll2 = generate_dataset_rollouts(
-        net, N_ROLL2, TRAJ_STEPS, nmpc_cfg, params, seed=23,
+    roll2 = generate_dataset_trajectories(
+        N_ROLL2, TRAJ_STEPS, nmpc_cfg, params, seed=23,
         plant_error=PLANT_ERROR,
         input_lo=(DEFAULT_INPUT_LO[0], DEFAULT_INPUT_LO[1], 3400.0),
-        input_hi=DEFAULT_INPUT_HI,
+        input_hi=DEFAULT_INPUT_HI, net=net,
     )
     _report("rollout round 2", roll2, t0)
     roll = Dataset.concat(roll, roll2)

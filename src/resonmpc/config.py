@@ -49,7 +49,7 @@ _SCENARIO_KEYS = {
     "schedule", "total_cycles", "controller", "warmup_cycles",
     "warmup_fsw_hz", "warmup_duty", "correction", "correction_gain",
     "correction_start", "correction_delay", "correction_cmd_max",
-    "seed", "r_error", "l_error",
+    "r_error", "l_error",
 }
 
 
@@ -141,5 +141,4 @@ def build_scenario(cfg: AppConfig) -> Scenario:
         correction_start=int(sec.get("correction_start", 0)),
         correction_delay=int(sec.get("correction_delay", 5)),
         correction_cmd_max=float(sec.get("correction_cmd_max", 4000.0)),
-        seed=int(sec.get("seed", 0)),
     )

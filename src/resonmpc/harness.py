@@ -25,7 +25,7 @@ from .nmpc import (
     RecedingHorizonController,
     apply_correction,
 )
-from .plant import ControlInput, ConverterParams, PlantState, simulate_cycle
+from .plant import ControlInput, ConverterParams, PlantState, perturbed_params, simulate_cycle
 from .policy import Dataset, PolicyNetwork, forward
 from .quant import QuantizedNetwork, forward_q
 
@@ -91,7 +91,6 @@ class Scenario:
     correction_delay: int = 5
     correction_interval: int = 4
     correction_cmd_max: float = 4000.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_KINDS:
@@ -198,22 +197,30 @@ def _make_controller(
     pi_gains,
     pi_fixed_freq: float,
 ):
+    """The scenario's controller as decide(state, p_cmd, p_meas) -> (input, status).
+
+    p_cmd is the (corrected) power command, p_meas the power measured over
+    the previous cycle; only the PI baselines read it.
+    """
     if sc.controller == "exact-nmpc":
-        return RecedingHorizonController(nmpc_config, sc.model_params)
+        rhc = RecedingHorizonController(nmpc_config, sc.model_params)
+        return lambda state, p_cmd, p_meas: rhc.step(state, p_cmd)
     if sc.controller == "dnn":
         if net is None:
             raise ArgumentError("scenario controller 'dnn' needs a trained network")
-        return net
+        return lambda state, p_cmd, p_meas: (
+            forward(net, (state.i_o, state.v_c, p_cmd)), "dnn")
     if sc.controller == "dnn-quant":
         if qnet is None:
             raise ArgumentError(
                 "scenario controller 'dnn-quant' needs a quantized network"
             )
-        return qnet
+        return lambda state, p_cmd, p_meas: (
+            forward_q(qnet, (state.i_o, state.v_c, p_cmd)), "dnn-quant")
     gains = pi_gains or (
         DEFAULT_PI_FREQ_GAINS if sc.controller == "pi-freq" else DEFAULT_PI_DUTY_GAINS
     )
-    return _PiController(sc.controller, nmpc_config, gains, pi_fixed_freq)
+    return _PiController(sc.controller, nmpc_config, gains, pi_fixed_freq).step
 
 
 def run_closed_loop(
@@ -227,7 +234,7 @@ def run_closed_loop(
 ):
     """Run one scenario against the true plant; returns (records, metrics)."""
     cfg = nmpc_config or NmpcConfig()
-    ctrl = _make_controller(sc, cfg, net, qnet, pi_gains, pi_fixed_freq)
+    decide = _make_controller(sc, cfg, net, qnet, pi_gains, pi_fixed_freq)
 
     state = x0
     t = 0.0
@@ -279,16 +286,7 @@ def run_closed_loop(
             else:
                 corr = None
                 p_cmd = p_des
-            if isinstance(ctrl, RecedingHorizonController):
-                u, status = ctrl.step(state, p_cmd)
-            elif isinstance(ctrl, _PiController):
-                u, status = ctrl.step(state, p_cmd, last_p_avg if last_p_avg is not None else 0.0)
-            elif isinstance(ctrl, QuantizedNetwork):
-                u = forward_q(ctrl, (state.i_o, state.v_c, p_cmd))
-                status = "dnn-quant"
-            else:
-                u = forward(ctrl, (state.i_o, state.v_c, p_cmd))
-                status = "dnn"
+            u, status = decide(state, p_cmd, 0.0 if last_p_avg is None else last_p_avg)
 
         res = simulate_cycle(state, sc.plant_params, u, n_trace=2)
         records.append(
@@ -361,22 +359,13 @@ def _segment_steady_error(seg):
     return float(abs(np.mean([r.p_avg_w - r.p_des_w for r in tail])))
 
 
-def _perturbed_params(params: ConverterParams, rng, error: float) -> ConverterParams:
-    """Load resistance and inductance scaled by independent U[1-e, 1+e] draws."""
-    if error == 0.0:
-        return params
-    scale_r = rng.uniform(1.0 - error, 1.0 + error)
-    scale_l = rng.uniform(1.0 - error, 1.0 + error)
-    return replace(params, r_l=params.r_l * scale_r, l_r=params.l_r * scale_l)
-
-
 def _benchmark_run(args):
     """One paired benchmark run: same schedule and plant for every controller."""
     (run_idx, controllers, params, nmpc_config, net, qnet, param_error,
      seed, n_segments, cycles_per_segment, warmup) = args
     rng = np.random.default_rng(seed + run_idx)
     setpoints = rng.uniform(500.0, 3000.0, n_segments)
-    plant = _perturbed_params(params, rng, param_error)
+    plant = perturbed_params(params, rng, param_error)
     schedule = tuple(
         (warmup + k * cycles_per_segment, float(p)) for k, p in enumerate(setpoints)
     )
@@ -390,7 +379,6 @@ def _benchmark_run(args):
             model_params=params,
             controller=kind,
             warmup_cycles=warmup,
-            seed=seed + run_idx,
         )
         _, m = run_closed_loop(sc, nmpc_config=nmpc_config, net=net, qnet=qnet)
         out[kind] = m

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "CycleResult",
     "SegmentPropagator",
     "derive_resonance",
+    "perturbed_params",
     "propagate_segment",
     "simulate_cycle",
     "steady_state_cycle",
@@ -114,6 +115,18 @@ class CycleResult:
 def derive_resonance(params: ConverterParams) -> float:
     """Resonant frequency 1/(2*pi*sqrt(l_r*c_r)) in Hz."""
     return 1.0 / (2.0 * math.pi * math.sqrt(params.l_r * params.c_r))
+
+
+def perturbed_params(params: ConverterParams, rng, error: float) -> ConverterParams:
+    """Load resistance and inductance scaled by independent U[1-e, 1+e] draws.
+
+    The two factors come from one `rng.uniform` call, R's first; with
+    error 0 the parameters are returned as they are and nothing is drawn.
+    """
+    if error == 0.0:
+        return params
+    f_r, f_l = rng.uniform(1.0 - error, 1.0 + error, 2).tolist()
+    return replace(params, r_l=params.r_l * f_r, l_r=params.l_r * f_l)
 
 
 class SegmentPropagator:

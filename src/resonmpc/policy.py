@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, TrainingDivergenceError
 from .nmpc import NmpcConfig, RecedingHorizonController, solve
-from .plant import ControlInput, ConverterParams, PlantState, simulate_cycle
+from .plant import ControlInput, ConverterParams, PlantState, perturbed_params, simulate_cycle
 
 __all__ = [
     "PolicyNetwork",
@@ -31,7 +31,6 @@ __all__ = [
     "train",
     "generate_dataset_random",
     "generate_dataset_trajectories",
-    "generate_dataset_rollouts",
     "save_network",
     "load_network",
 ]
@@ -53,7 +52,7 @@ class PolicyNetwork:
 
     weights: tuple  # np.ndarray (n_out, n_in) per layer
     biases: tuple  # np.ndarray (n_out,) per layer
-    activation: str  # hidden activation, "tanh"
+    activation: str  # hidden activation; "tanh" is the only one supported
     input_lo: np.ndarray
     input_hi: np.ndarray
     output_lo: np.ndarray
@@ -149,7 +148,6 @@ class TrainConfig:
 def init_network(
     seed: int = 0,
     layer_sizes=DEFAULT_LAYER_SIZES,
-    activation: str = "tanh",
     input_lo=DEFAULT_INPUT_LO,
     input_hi=DEFAULT_INPUT_HI,
     output_lo=None,
@@ -171,33 +169,12 @@ def init_network(
     return PolicyNetwork(
         weights=tuple(weights),
         biases=tuple(biases),
-        activation=activation,
+        activation="tanh",
         input_lo=np.asarray(input_lo, dtype=float),
         input_hi=np.asarray(input_hi, dtype=float),
         output_lo=np.asarray(output_lo, dtype=float),
         output_hi=np.asarray(output_hi, dtype=float),
     )
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ArgumentError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
-    # derivative expressed through the activation value
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (a > 0.0).astype(a.dtype)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ArgumentError(f"unknown activation {name!r}")
 
 
 def _forward_raw(net: PolicyNetwork, xn: np.ndarray):
@@ -207,7 +184,7 @@ def _forward_raw(net: PolicyNetwork, xn: np.ndarray):
     n_layers = len(net.weights)
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ np.asarray(w, dtype=float).T + np.asarray(b, dtype=float)
-        a = z if l == n_layers - 1 else _act(net.activation, z)
+        a = z if l == n_layers - 1 else np.tanh(z)
         acts.append(a)
     return acts
 
@@ -270,9 +247,8 @@ def backprop_gradients(
         g_w[l] = delta.T @ acts[l]
         g_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ np.asarray(net.weights[l], dtype=float)) * _act_grad(
-                net.activation, acts[l]
-            )
+            # tanh'(z) through the activation value
+            delta = (delta @ np.asarray(net.weights[l], dtype=float)) * (1.0 - acts[l] * acts[l])
     return g_w, g_b
 
 
@@ -346,8 +322,74 @@ def train(data: Dataset, cfg: TrainConfig, net: Optional[PolicyNetwork] = None):
     return as_net(best[1], best[2]), history
 
 
-def _clean_label(sol) -> bool:
-    return sol.status == "converged" and sol.initial_state_zvs_ok
+def _label_draws(
+    n_draws: int,
+    steps: int,
+    config: NmpcConfig,
+    params: ConverterParams,
+    seed: int,
+    input_lo,
+    input_hi,
+    plant_error: float,
+    net: Optional[PolicyNetwork],
+    tag: str,
+) -> Dataset:
+    """The labelling loop behind every solver-labeled dataset kind.
+
+    Each draw takes a state and setpoint from the sampling box, then R/L
+    factors for the simulated plant when plant_error > 0.  Its first cycle
+    is labeled by a cold `solve`, the next steps - 1 by a warm-started
+    `RecedingHorizonController` on the nominal model.  Between cycles the
+    plant advances under the label itself, or under `forward(net, .)` when
+    a network is given (the solver then only observes).  A draw whose cold
+    solve fails is discarded, without solving when its initial current
+    already breaks the ZVS sign rule of `NmpcSolution.initial_state_zvs_ok`;
+    sampling stops after 10 * n_draws draws.  Degraded warm steps are
+    discarded labels.
+    """
+    if n_draws < 1 or steps < 1:
+        raise ArgumentError("the number of draws and steps must be >= 1")
+    if not 0.0 <= plant_error < 1.0:
+        raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(input_lo, dtype=float)
+    hi = np.asarray(input_hi, dtype=float)
+    xs, us = [], []
+    discarded = 0
+    kept = 0
+    budget = 10 * n_draws
+    while kept < n_draws and budget > 0:
+        budget -= 1
+        draw = rng.uniform(lo, hi)
+        state = PlantState(draw[0], draw[1])
+        p_des = draw[2]
+        plant = perturbed_params(params, rng, plant_error)
+        zvs_ok = state.i_o <= config.constraint_tol  # as NmpcSolution.initial_state_zvs_ok
+        first = solve(state, p_des, config, params) if zvs_ok else None
+        if first is None or first.status != "converged":
+            discarded += 1
+            continue
+        kept += 1
+        ctrl = RecedingHorizonController(config, params, fallback=first.first_input)
+        ctrl.last_solution = first
+        label, status = first.first_input, "converged"
+        for k in range(steps):
+            if k:
+                applied = label if net is None else forward(net, (state.i_o, state.v_c, p_des))
+                state = simulate_cycle(state, plant, applied).state_end
+                label, status = ctrl.step(state, p_des)
+            if status != "converged":
+                discarded += 1
+                continue
+            xs.append([state.i_o, state.v_c, p_des])
+            us.append([label.f_sw, label.duty])
+    return Dataset(
+        x=np.array(xs).reshape(-1, 3),
+        u=np.array(us).reshape(-1, 2),
+        provenance=(tag,) * len(xs),
+        seed=seed,
+        discarded=discarded,
+    )
 
 
 def generate_dataset_random(
@@ -360,33 +402,11 @@ def generate_dataset_random(
 ) -> Dataset:
     """Uniformly sampled states/setpoints labeled by solving the horizon problem.
 
-    Infeasible draws are discarded; sampling stops after a 10*n draw budget.
+    The labelling loop with one cycle per draw: infeasible draws are
+    discarded; sampling stops after a 10*n draw budget.
     """
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(input_lo, dtype=float)
-    hi = np.asarray(input_hi, dtype=float)
-    xs, us = [], []
-    discarded = 0
-    budget = 10 * n
-    while len(xs) < n and budget > 0:
-        budget -= 1
-        x = rng.uniform(lo, hi)
-        sol = solve(PlantState(x[0], x[1]), x[2], config, params)
-        if not _clean_label(sol):
-            discarded += 1
-            continue
-        u = sol.first_input
-        xs.append(x)
-        us.append([u.f_sw, u.duty])
-    return Dataset(
-        x=np.array(xs).reshape(-1, 3),
-        u=np.array(us).reshape(-1, 2),
-        provenance=("random-state",) * len(xs),
-        seed=seed,
-        discarded=discarded,
-    )
+    return _label_draws(n, 1, config, params, seed, input_lo, input_hi, 0.0, None,
+                        "random-state")
 
 
 def generate_dataset_trajectories(
@@ -398,12 +418,18 @@ def generate_dataset_trajectories(
     input_lo=DEFAULT_INPUT_LO,
     input_hi=DEFAULT_INPUT_HI,
     plant_error: float = 0.0,
+    net: Optional[PolicyNetwork] = None,
 ) -> Dataset:
-    """Closed-loop samples: run the exact controller and record what it applied.
+    """Closed-loop samples: the states a controller drives the plant through.
 
     Each trajectory draws an initial state and setpoint from the sampling
-    box; trajectories whose first solve is infeasible are discarded (same
-    budget rule as random sampling, counted in draws of trajectories).
+    box and runs `steps` cycles; trajectories whose first solve is
+    infeasible are discarded (same budget rule as random sampling, counted
+    in draws of trajectories).  Without `net` the exact controller applies
+    its own labels ("trajectory").  With `net` the network is applied and
+    the solver labels the states it visits ("rollout"): a network trained
+    only on solver-driven trajectories can settle into spurious closed-loop
+    fixed points of its own, and labeling exactly those states removes them.
 
     With plant_error > 0 each trajectory is simulated on a plant whose load
     resistance and tank inductance are scaled by independent uniform factors
@@ -411,120 +437,8 @@ def generate_dataset_trajectories(
     The recorded states then cover the operating points a mismatched plant
     actually steers the policy through, not just the nominal ones.
     """
-    if n_traj < 1 or steps < 1:
-        raise ArgumentError("n_traj and steps must be >= 1")
-    if not 0.0 <= plant_error < 1.0:
-        raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(input_lo, dtype=float)
-    hi = np.asarray(input_hi, dtype=float)
-    xs, us = [], []
-    discarded = 0
-    kept = 0
-    budget = 10 * n_traj
-    while kept < n_traj and budget > 0:
-        budget -= 1
-        draw = rng.uniform(lo, hi)
-        state = PlantState(draw[0], draw[1])
-        p_des = draw[2]
-        plant = params
-        if plant_error > 0.0:
-            fr, fl = rng.uniform(1.0 - plant_error, 1.0 + plant_error, 2)
-            plant = replace(params, r_l=params.r_l * fr, l_r=params.l_r * fl)
-        first = solve(state, p_des, config, params)
-        if not _clean_label(first):
-            discarded += 1
-            continue
-        kept += 1
-        ctrl = RecedingHorizonController(config, params)
-        ctrl.last_solution = first
-        ctrl.last_input = first.first_input
-        xs.append([state.i_o, state.v_c, p_des])
-        us.append([first.first_input.f_sw, first.first_input.duty])
-        state = simulate_cycle(state, plant, first.first_input).state_end
-        for _ in range(steps - 1):
-            u, status = ctrl.step(state, p_des)
-            if status != "converged":
-                discarded += 1
-            else:
-                xs.append([state.i_o, state.v_c, p_des])
-                us.append([u.f_sw, u.duty])
-            state = simulate_cycle(state, plant, u).state_end
-    return Dataset(
-        x=np.array(xs).reshape(-1, 3),
-        u=np.array(us).reshape(-1, 2),
-        provenance=("trajectory",) * len(xs),
-        seed=seed,
-        discarded=discarded,
-    )
-
-
-def generate_dataset_rollouts(
-    net: PolicyNetwork,
-    n_traj: int,
-    steps: int,
-    config: NmpcConfig,
-    params: ConverterParams,
-    seed: int = 0,
-    input_lo=DEFAULT_INPUT_LO,
-    input_hi=DEFAULT_INPUT_HI,
-    plant_error: float = 0.0,
-) -> Dataset:
-    """States visited by `net` in closed loop, labeled by the horizon solver.
-
-    A network trained only on solver-driven trajectories can settle into its
-    own spurious closed-loop fixed points in states the solver never visits;
-    rolling the network out and labeling exactly those states removes them.
-    The solver runs as a warm-started observer (its inputs are computed each
-    cycle but never applied).  plant_error perturbs the simulated plant per
-    trajectory as in `generate_dataset_trajectories`.
-    """
-    if n_traj < 1 or steps < 1:
-        raise ArgumentError("n_traj and steps must be >= 1")
-    if not 0.0 <= plant_error < 1.0:
-        raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(input_lo, dtype=float)
-    hi = np.asarray(input_hi, dtype=float)
-    xs, us = [], []
-    discarded = 0
-    kept = 0
-    budget = 10 * n_traj
-    while kept < n_traj and budget > 0:
-        budget -= 1
-        draw = rng.uniform(lo, hi)
-        state = PlantState(draw[0], draw[1])
-        p_des = draw[2]
-        plant = params
-        if plant_error > 0.0:
-            fr, fl = rng.uniform(1.0 - plant_error, 1.0 + plant_error, 2)
-            plant = replace(params, r_l=params.r_l * fr, l_r=params.l_r * fl)
-        first = solve(state, p_des, config, params)
-        if not _clean_label(first):
-            discarded += 1
-            continue
-        kept += 1
-        observer = RecedingHorizonController(config, params)
-        observer.last_solution = first
-        xs.append([state.i_o, state.v_c, p_des])
-        us.append([first.first_input.f_sw, first.first_input.duty])
-        state = simulate_cycle(state, plant, forward(net, (state.i_o, state.v_c, p_des))).state_end
-        for _ in range(steps - 1):
-            label, status = observer.step(state, p_des)
-            if status != "converged":
-                discarded += 1
-            else:
-                xs.append([state.i_o, state.v_c, p_des])
-                us.append([label.f_sw, label.duty])
-            applied = forward(net, (state.i_o, state.v_c, p_des))
-            state = simulate_cycle(state, plant, applied).state_end
-    return Dataset(
-        x=np.array(xs).reshape(-1, 3),
-        u=np.array(us).reshape(-1, 2),
-        provenance=("rollout",) * len(xs),
-        seed=seed,
-        discarded=discarded,
-    )
+    return _label_draws(n_traj, steps, config, params, seed, input_lo, input_hi,
+                        plant_error, net, "trajectory" if net is None else "rollout")
 
 
 def save_network(net: PolicyNetwork, path):
@@ -544,6 +458,8 @@ def load_network(path) -> PolicyNetwork:
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != NETWORK_FORMAT_VERSION:
         raise ArgumentError(f"unsupported network format_version in {path}")
+    if doc.get("activation") != "tanh":
+        raise ArgumentError(f"unsupported activation {doc.get('activation')!r} in {path}")
     sizes = doc["layers"]
     weights = tuple(
         np.asarray(flat, dtype=np.float32).reshape(n_out, n_in)
@@ -553,7 +469,7 @@ def load_network(path) -> PolicyNetwork:
     return PolicyNetwork(
         weights=weights,
         biases=biases,
-        activation=doc["activation"],
+        activation="tanh",
         input_lo=np.asarray(doc["input_box"]["lo"], dtype=float),
         input_hi=np.asarray(doc["input_box"]["hi"], dtype=float),
         output_lo=np.asarray(doc["output_box"]["lo"], dtype=float),

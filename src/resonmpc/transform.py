@@ -115,10 +115,8 @@ class CollocationGrid:
     def global_taus(self) -> np.ndarray:
         """All collocation times over [0, 1], including the left boundary."""
         h = self.element_length
-        taus = [0.0]
-        for e in range(self.n_elements):
-            taus.extend(e * h + self.nodes * h)
-        return np.array(taus)
+        starts = np.arange(self.n_elements)[:, None] * h
+        return np.concatenate(([0.0], (starts + self.nodes * h).ravel()))
 
 
 def collocation_grid(degree: int, n_elements: int) -> CollocationGrid:

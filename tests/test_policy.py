@@ -8,10 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from resonmpc import policy
 from resonmpc.errors import ArgumentError
 from resonmpc.nmpc import NmpcConfig
-from resonmpc.plant import ControlInput
+from resonmpc.plant import ControlInput, PlantState, perturbed_params, simulate_cycle
 from resonmpc.policy import (
+    DEFAULT_INPUT_HI,
+    DEFAULT_INPUT_LO,
     Dataset,
     PolicyNetwork,
     TrainConfig,
@@ -184,6 +187,54 @@ class TestDatasets:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.u, b.u)
 
+    def test_draws_breaking_zvs_sign_are_not_solved(self, params, nmpc_config, monkeypatch):
+        solved = []
+        inner = policy.solve
+
+        def recording(state, *args, **kwargs):
+            solved.append(state)
+            return inner(state, *args, **kwargs)
+
+        monkeypatch.setattr(policy, "solve", recording)
+        data = generate_dataset_random(3, nmpc_config, params, seed=21)
+        assert (len(data), data.discarded) == (3, 6)
+        assert len(solved) == 3
+        assert all(s.i_o <= nmpc_config.constraint_tol for s in solved)
+
+    def test_reproduces_shipped_trajectory_rows(self, params, trajectory_dataset):
+        # the first two trajectories of the shipped set (build_artifacts.py)
+        data = generate_dataset_trajectories(2, 25, NmpcConfig(), params, seed=7,
+                                             plant_error=0.15)
+        np.testing.assert_array_equal(data.x, trajectory_dataset.x[:50])
+        np.testing.assert_array_equal(data.u, trajectory_dataset.u[:50])
+        assert data.provenance == trajectory_dataset.provenance[:50]
+
+    def test_reproduces_shipped_random_rows(self, params, random_dataset):
+        data = generate_dataset_random(2, NmpcConfig(), params, seed=11)
+        np.testing.assert_array_equal(data.x, random_dataset.x[:2])
+        np.testing.assert_array_equal(data.u, random_dataset.u[:2])
+        assert data.provenance == random_dataset.provenance[:2]
+
+    def test_network_applied_rollout_replays(self, params, nmpc_config, trained_net):
+        n_traj, steps, seed, error = 2, 4, 17, 0.15
+        data = generate_dataset_trajectories(n_traj, steps, nmpc_config, params, seed=seed,
+                                             plant_error=error, net=trained_net)
+        assert data.provenance == ("rollout",) * (n_traj * steps)
+        # each draw is a state and setpoint, then the plant's R/L factors
+        rng = np.random.default_rng(seed)
+        plants = {}
+        for _ in range(10 * n_traj):
+            draw = rng.uniform(DEFAULT_INPUT_LO, DEFAULT_INPUT_HI)
+            plants[draw[2]] = (draw, perturbed_params(params, rng, error))
+        for t in range(n_traj):
+            rows = data.x[t * steps:(t + 1) * steps]
+            draw, plant = plants[rows[0, 2]]
+            np.testing.assert_array_equal(rows[0], draw)
+            for x, x_next in zip(rows[:-1], rows[1:]):
+                u = forward(trained_net, x)
+                end = simulate_cycle(PlantState(x[0], x[1]), plant, u).state_end
+                np.testing.assert_array_equal(x_next, [end.i_o, end.v_c, x[2]])
+
     def test_trajectory_states_less_dispersed(self, trajectory_dataset, random_dataset):
         # closed-loop data concentrates near reachable operating states
         n = min(len(trajectory_dataset.x), len(random_dataset.x))
@@ -231,6 +282,16 @@ class TestNetworkFile:
         save_network(trained_net, path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 999
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError):
+            load_network(path)
+
+    @pytest.mark.parametrize("activation", ["relu", "tnah"])
+    def test_activation_checked(self, tmp_path, trained_net, activation):
+        path = tmp_path / "net.json"
+        save_network(trained_net, path)
+        doc = json.loads(path.read_text())
+        doc["activation"] = activation
         path.write_text(json.dumps(doc))
         with pytest.raises(ArgumentError):
             load_network(path)

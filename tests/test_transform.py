@@ -83,6 +83,15 @@ class TestGrid:
         assert len(taus) == grid.degree * grid.n_elements + 1
         assert np.all(np.diff(taus) > 0)
 
+    @pytest.mark.parametrize("degree,n_elements", [(2, 100), (3, 7), (1, 1), (4, 250)])
+    def test_global_taus_match_element_loop(self, degree, n_elements):
+        g = collocation_grid(degree, n_elements)
+        h = g.element_length
+        taus = [0.0]
+        for e in range(g.n_elements):
+            taus.extend(e * h + g.nodes * h)
+        assert np.array_equal(g.global_taus(), np.array(taus))
+
     def test_invalid_arguments(self):
         with pytest.raises(ArgumentError):
             collocation_grid(0, 10)
