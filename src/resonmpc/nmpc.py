@@ -6,7 +6,11 @@ switching interval, the states are eliminated by exact propagation and the
 problem is solved over the N/2 input pairs only.  ZVS sign constraints at
 the interval boundaries are handled by an exterior quadratic penalty whose
 weight is doubled until feasibility; box bounds are native to the
-projected quasi-Newton step.
+projected quasi-Newton step.  The gradient is a forward difference in each
+scaled input; as an input only moves its own switching interval and the
+ones after it, each perturbed rollout resumes from the unperturbed
+rollout's state, cost and penalty before that interval, which gives the
+same bits as a full rollout per input.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -120,7 +125,9 @@ class _Horizon:
     collocation rule P = f_sw * sum_i i_o[i] * v_o[i] * (t[i] - t[i-1])
     over the collocation node times; the node states themselves are exact,
     so the (small) quadrature bias of the rule is reproduced without any
-    state discretization error.
+    state discretization error.  Rollouts run on plain floats but for one
+    numpy complex division; `objective` takes forward differences whose
+    perturbed rollouts resume from the unperturbed prefix.
     """
 
     def __init__(self, params: ConverterParams, config: NmpcConfig):
@@ -140,27 +147,29 @@ class _Horizon:
         self._elem_h = h
         # modal decomposition of the current response, i(t) =
         # Re[(A+ i0 + B+ dv) e^(lam+ t) + (A- i0 + B- dv) e^(lam- t)]
-        a11 = self.prop._a11
-        a12 = self.prop._a12
-        alpha = self.prop._alpha
-        beta = self.prop._beta
+        a11, a12, alpha, beta = self.prop._a11, self.prop._a12, self.prop._alpha, self.prop._beta
         self._degenerate = abs(beta) < 1e3  # near-critical damping: sum nodes directly
         if not self._degenerate:
-            self._lam = (alpha + beta, alpha - beta)
             self._coef_i = (0.5 + (a11 - alpha) / (2.0 * beta),
                             0.5 - (a11 - alpha) / (2.0 * beta))
             self._coef_v = (a12 / (2.0 * beta), -a12 / (2.0 * beta))
+            # the t_on-free factors of `_node_sum_scalar` per mode: lam, lam * h
+            # and (lam * node offset, node weight) for each node of an element
+            elem = list(zip(self._elem_nodes.tolist(), self._elem_dtaus.tolist()))
+            self._modes = tuple((lam, lam * h, [(lam * tau, dtau) for tau, dtau in elem])
+                                for lam in (alpha + beta, alpha - beta))
 
-    def _node_sum_scalar(self, lam, t_on: float) -> complex:
-        """Scalar `_node_sum` in plain complex arithmetic (hot path)."""
+    def _node_sum_scalar(self, mode, t_on: float) -> complex:
+        """Scalar `_node_sum` of one mode in plain complex arithmetic (hot path)."""
+        lam, lam_h, lam_nodes = mode
         pattern = 0j
-        for tau_k, dtau_k in zip(self._elem_nodes, self._elem_dtaus):
-            pattern += dtau_k * cmath.exp(lam * tau_k * t_on)
-        g = cmath.exp(lam * self._elem_h * t_on)
-        den = g - 1.0
+        for lam_tau, dtau in lam_nodes:
+            pattern += dtau * cmath.exp(lam_tau * t_on)
+        den = cmath.exp(lam_h * t_on) - 1.0
         if abs(den) < 1e-12:
             return pattern * self._n_elements
-        return pattern * (cmath.exp(lam * t_on) - 1.0) / den
+        # numpy's complex division; Python's differs from it in the last bit
+        return complex(np.complex128(pattern * (cmath.exp(lam * t_on) - 1.0)) / den)
 
     def _node_sum(self, lam, t_on):
         """sum_j exp(lam * tau_j * t_on) * dtau_j over all collocation nodes.
@@ -177,18 +186,22 @@ class _Horizon:
         ratio = np.where(np.abs(den) < 1e-12, float(self._n_elements), num / den)
         return pattern * ratio
 
+    def _on_power_scalar(self, i0: float, v0: float, f: float, d: float) -> float:
+        """`_on_power` of one input pair in plain float arithmetic (hot path)."""
+        if self._degenerate:
+            return self._on_power(i0, v0, f, d)
+        t_on = d / f
+        dv = v0 - self.params.v_s
+        s_plus = self._node_sum_scalar(self._modes[0], t_on)
+        s_minus = self._node_sum_scalar(self._modes[1], t_on)
+        charge = t_on * (
+            (self._coef_i[0] * i0 + self._coef_v[0] * dv) * s_plus
+            + (self._coef_i[1] * i0 + self._coef_v[1] * dv) * s_minus
+        ).real
+        return f * self.params.v_s * charge
+
     def _on_power(self, i0, v0, f, d):
         """Collocation-rule average power of one ON semicycle; broadcasts."""
-        if np.ndim(f) == 0 and not self._degenerate:
-            t_on = d / f
-            dv = v0 - self.params.v_s
-            s_plus = self._node_sum_scalar(self._lam[0], t_on)
-            s_minus = self._node_sum_scalar(self._lam[1], t_on)
-            charge = t_on * (
-                (self._coef_i[0] * i0 + self._coef_v[0] * dv) * s_plus
-                + (self._coef_i[1] * i0 + self._coef_v[1] * dv) * s_minus
-            ).real
-            return f * self.params.v_s * charge
         t_on = np.asarray(d) / np.asarray(f)
         dv = np.asarray(v0) - self.params.v_s
         if self._degenerate:
@@ -200,8 +213,8 @@ class _Horizon:
             )
             charge = (i_nodes @ self._node_dtaus) * t_on
         else:
-            s_plus = self._node_sum(self._lam[0], t_on)
-            s_minus = self._node_sum(self._lam[1], t_on)
+            s_plus = self._node_sum(self._modes[0][0], t_on)
+            s_minus = self._node_sum(self._modes[1][0], t_on)
             charge = t_on * (
                 (self._coef_i[0] * np.asarray(i0) + self._coef_v[0] * dv) * s_plus
                 + (self._coef_i[1] * np.asarray(i0) + self._coef_v[1] * dv) * s_minus
@@ -209,62 +222,79 @@ class _Horizon:
         p = f * self.params.v_s * charge
         return float(p) if np.ndim(p) == 0 else p
 
-    def rollout(self, x0: PlantState, pairs):
-        """States at all boundaries and per-switching-interval powers."""
-        vs = self.params.v_s
-        step = self.prop.step
-        i, v = x0.i_o, x0.v_c
-        states = [(i, v)]
-        powers = []
-        for f, d in pairs:
-            powers.append(self._on_power(i, v, f, d))
-            i1, v1 = step(i, v, vs, d / f)
-            states.append((i1, v1))
-            i, v = step(i1, v1, 0.0, (1.0 - d) / f)
-            states.append((i, v))
-        return states, powers
+    def rollout(self, pairs, p_des: float, start):
+        """Records (i_o, v_c, cost, penalty, power, i_mid, v_mid, worst violation)
+        after each pair, from `start` = (i_o, v_c, cost, penalty) before the first.
 
-    def cost_and_violation(self, x0: PlantState, pairs, p_des: float):
-        """Problem cost plus the worst margined ZVS violation in amps.
-
+        A record's first four fields start a rollout of the pairs after it.
         Each switching interval spans two control intervals, so its power
         error and frequency terms are counted twice.  Boundaries k >= 1 must
-        satisfy i_o >= margin at odd k and i_o <= -margin at even k.
+        satisfy i_o >= margin at odd k and i_o <= -margin at even k; the
+        penalty sums the squared margined violations in boundary order.
         """
-        states, powers = self.rollout(x0, pairs)
         cfg = self.config
+        vs = self.params.v_s
+        m = cfg.zvs_margin
+        step = self.prop.step
         reg = cfg.duty_reg * max(1.0, p_des * p_des)
-        cost = 0.0
-        for (f, d), p in zip(pairs, powers):
+        i, v, cost, pen = start[:4]
+        records = []
+        for f, d in pairs:
+            p = self._on_power_scalar(i, v, f, d)
+            i_mid, v_mid = step(i, v, vs, d / f)
+            i, v = step(i_mid, v_mid, 0.0, (1.0 - d) / f)
             e = p - p_des
             cost += 2.0 * (e * e + cfg.alpha * f + reg * (d - 0.5) ** 2)
-        viols = self._violations(states)
-        return cost, viols
+            viol_mid = max(0.0, m - i_mid)
+            viol_end = max(0.0, i + m)
+            pen += viol_mid * viol_mid
+            pen += viol_end * viol_end
+            records.append((i, v, cost, pen, p, i_mid, v_mid, max(viol_mid, viol_end)))
+        return records
 
-    def _violations(self, states):
-        m = self.config.zvs_margin
-        out = []
-        for k in range(1, len(states)):
-            i = states[k][0]
-            if k % 2 == 1:
-                out.append(max(0.0, m - i))
-            else:
-                out.append(max(0.0, i + m))
-        return out
+    def objective(self, z: np.ndarray, mu: float, start, p_des: float):
+        """Scaled penalized cost at z and its forward-difference gradient.
+
+        z[k] moves only input pair k // 2, so its perturbed rollout resumes
+        from the base rollout's record before that pair and sums in a full
+        rollout's order.  Own differences: the optimizer's built-in ones
+        reject iterates its line search has pushed a rounding error outside the box.
+        """
+        cfg = self.config
+        h = cfg.fd_rel_step
+        cost_scale = max(1.0, p_des * p_des)
+        zl = z.tolist()
+        pairs = _pairs_from_z(zl, cfg)
+        prefix = [start] + self.rollout(pairs, p_des, start)
+        f0 = prefix[-1][2] / cost_scale + mu * prefix[-1][3]
+        g = np.empty_like(z)
+        for k in range(len(zl)):
+            j = k // 2
+            zj = zl[2 * j : 2 * j + 2]
+            zj[k % 2] += h
+            end = self.rollout(_pairs_from_z(zj, cfg) + pairs[j + 1 :], p_des, prefix[j])[-1]
+            g[k] = (end[2] / cost_scale + mu * end[3] - f0) / h
+        return f0, g
 
 
-def _pairs_from_z(z: np.ndarray, cfg: NmpcConfig):
-    f = cfg.f_min + z[0::2] * (cfg.f_max - cfg.f_min)
-    d = cfg.d_min + z[1::2] * (cfg.d_max - cfg.d_min)
-    return list(zip(f, d))
+@lru_cache(maxsize=16)
+def _horizon(params: ConverterParams, config: NmpcConfig) -> _Horizon:
+    """The `_Horizon` of a model and a configuration, built once (both are frozen)."""
+    return _Horizon(params, config)
+
+
+def _pairs_from_z(z: list, cfg: NmpcConfig) -> list:
+    """Input pairs (f_sw, duty) of the scaled variables, a list of floats."""
+    f_span = cfg.f_max - cfg.f_min
+    d_span = cfg.d_max - cfg.d_min
+    return [(cfg.f_min + zf * f_span, cfg.d_min + zd * d_span)
+            for zf, zd in zip(z[0::2], z[1::2])]
 
 
 def _z_from_inputs(inputs, cfg: NmpcConfig) -> np.ndarray:
-    z = np.empty(2 * len(inputs))
-    for j, u in enumerate(inputs):
-        z[2 * j] = (u.f_sw - cfg.f_min) / (cfg.f_max - cfg.f_min)
-        z[2 * j + 1] = (u.duty - cfg.d_min) / (cfg.d_max - cfg.d_min)
-    return np.clip(z, 0.0, 1.0)
+    z = [((u.f_sw - cfg.f_min) / (cfg.f_max - cfg.f_min),
+          (u.duty - cfg.d_min) / (cfg.d_max - cfg.d_min)) for u in inputs]
+    return np.clip(np.ravel(z), 0.0, 1.0)
 
 
 def _coarse_seed(horizon: _Horizon, x0: PlantState, p_des: float, n: int = 9) -> np.ndarray:
@@ -323,25 +353,11 @@ def solve(
     if not (p_des >= 0.0 and math.isfinite(p_des)):
         raise ArgumentError(f"p_des must be >= 0 and finite, got {p_des}")
 
-    horizon = _Horizon(params, config)
+    horizon = _horizon(params, config)
     n_pairs = config.n_pairs
-    cost_scale = max(1.0, p_des * p_des)
-
-    def scaled_objective(z, mu):
-        cost, viols = horizon.cost_and_violation(x_hat, _pairs_from_z(z, config), p_des)
-        pen = sum(v * v for v in viols)
-        return cost / cost_scale + mu * pen
-
-    # own forward-difference gradient: the optimizer's built-in one rejects
-    # iterates its line search has pushed a rounding error outside the box
-    def scaled_gradient(z, mu):
-        f0 = scaled_objective(z, mu)
-        g = np.empty_like(z)
-        for i in range(z.size):
-            zp = z.copy()
-            zp[i] += config.fd_rel_step
-            g[i] = (scaled_objective(zp, mu) - f0) / config.fd_rel_step
-        return g
+    # plain floats: numpy scalars (labelling draws) give the same bits, slower
+    p_des = float(p_des)
+    start = (float(x_hat.i_o), float(x_hat.v_c), 0.0, 0)
 
     if warm is not None:
         starts = [_z_from_inputs(warm.inputs, config)]
@@ -352,52 +368,35 @@ def solve(
         starts.append(_coarse_seed(horizon, x_hat, p_des))
 
     bounds = [(0.0, 1.0)] * (2 * n_pairs)
-    best = None  # (infeasible_flag, cost, z, hit_maxiter, iters)
+    best = None  # (infeasible_flag, cost, pairs, records, hit_maxiter)
     total_iters = 0
     for z0 in starts:
         z = np.clip(z0, 0.0, 1.0)
         mu = config.penalty_init
         hit_maxiter = False
         while True:
-            res = minimize(
-                scaled_objective,
-                z,
-                args=(mu,),
-                method="L-BFGS-B",
-                jac=scaled_gradient,
-                bounds=bounds,
-                options={
-                    "maxiter": config.max_iterations,
-                    "gtol": config.grad_tol,
-                },
-            )
+            res = minimize(horizon.objective, z, args=(mu, start, p_des), method="L-BFGS-B",
+                           jac=True, bounds=bounds,
+                           options={"maxiter": config.max_iterations, "gtol": config.grad_tol})
             z = np.clip(res.x, 0.0, 1.0)
             total_iters += res.nit
             hit_maxiter = hit_maxiter or res.status == 1
-            _, viols = horizon.cost_and_violation(x_hat, _pairs_from_z(z, config), p_des)
-            worst = max(viols) if viols else 0.0
+            pairs = _pairs_from_z(z.tolist(), config)
+            records = horizon.rollout(pairs, p_des, start)
+            worst = max(r[7] for r in records)
             if worst < config.constraint_tol or mu >= config.penalty_max:
                 break
             mu *= 2.0
-        cost, viols = horizon.cost_and_violation(x_hat, _pairs_from_z(z, config), p_des)
-        infeasible = (max(viols) if viols else 0.0) >= config.constraint_tol
-        cand = (infeasible, cost, tuple(z), hit_maxiter)
+        cand = (worst >= config.constraint_tol, records[-1][2], pairs, records, hit_maxiter)
         if best is None or cand[:2] < best[:2]:
             best = cand
-    infeasible, cost, z_best, hit_maxiter = best
-    z_best = np.array(z_best)
+    infeasible, cost, pairs, records, hit_maxiter = best
 
-    pairs = _pairs_from_z(z_best, config)
-    states, powers = horizon.rollout(x_hat, pairs)
-    if infeasible:
-        status = "infeasible"
-    elif hit_maxiter:
-        status = "max-iter"
-    else:
-        status = "converged"
+    states = [start[:2]] + [s for r in records for s in ((r[5], r[6]), (r[0], r[1]))]
+    status = "infeasible" if infeasible else "max-iter" if hit_maxiter else "converged"
     return NmpcSolution(
         inputs=tuple(ControlInput(f, d) for f, d in pairs),
-        powers=tuple(powers),
+        powers=tuple(r[4] for r in records),
         boundary_states=tuple(PlantState(i, v) for i, v in states),
         cost=cost,
         status=status,
@@ -461,7 +460,7 @@ def brute_force_oracle(
     discarded; feasibility of the fixed initial boundary is reported by the
     caller via the same rule as `solve`.
     """
-    horizon = _Horizon(params, config)
+    horizon = _horizon(params, config)
     costs, viols, F, D = _constant_input_scan(horizon, x_hat, p_des, grid_n)
     feasible = viols < config.constraint_tol
     if not np.any(feasible):

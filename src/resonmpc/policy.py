@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -57,6 +58,16 @@ class PolicyNetwork:
     input_hi: np.ndarray
     output_lo: np.ndarray
     output_hi: np.ndarray
+
+    @cached_property
+    def layers_f64(self) -> tuple:
+        """(weights, biases) per layer as float64, the arithmetic's type, cast once.
+
+        float64 arrays are held as they are, so `train`'s in-place updates
+        of its float64 working network show through.
+        """
+        return tuple((np.asarray(w, dtype=float), np.asarray(b, dtype=float))
+                     for w, b in zip(self.weights, self.biases))
 
     @property
     def layer_sizes(self):
@@ -182,8 +193,8 @@ def _forward_raw(net: PolicyNetwork, xn: np.ndarray):
     acts = [xn]
     a = xn
     n_layers = len(net.weights)
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ np.asarray(w, dtype=float).T + np.asarray(b, dtype=float)
+    for l, (w, b) in enumerate(net.layers_f64):
+        z = a @ w.T + b
         a = z if l == n_layers - 1 else np.tanh(z)
         acts.append(a)
     return acts
@@ -248,7 +259,7 @@ def backprop_gradients(
         g_b[l] = delta.sum(axis=0)
         if l > 0:
             # tanh'(z) through the activation value
-            delta = (delta @ np.asarray(net.weights[l], dtype=float)) * (1.0 - acts[l] * acts[l])
+            delta = (delta @ net.layers_f64[l][0]) * (1.0 - acts[l] * acts[l])
     return g_w, g_b
 
 

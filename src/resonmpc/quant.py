@@ -271,23 +271,93 @@ def save_quantized(qnet: QuantizedNetwork, path):
 
 
 def load_quantized(path) -> QuantizedNetwork:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != QNET_FORMAT_VERSION:
+    """Read a `save_quantized` file; a malformed one raises ArgumentError.
+
+    Checked: the JSON, the format version, every key's type, the tanh
+    table's range, format and length against this module's, words and
+    binary points inside the word width, word counts against the shapes,
+    shapes chaining from 3 inputs to 2 outputs, and bias, format and box
+    lengths against the layers.
+    """
+    def require(ok, what):
+        if not ok:
+            raise ArgumentError(f"malformed quantized network in {path}: {what}")
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ArgumentError(f"{path} is not valid JSON: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if not (is_int(version) and version == QNET_FORMAT_VERSION):
         raise ArgumentError(f"unsupported quantized-network format_version in {path}")
+
+    def words(v, what, bits):
+        lim = 1 << (bits - 1)
+        require(isinstance(v, list) and all(is_int(x) and -lim <= x < lim for x in v),
+                f"{what} is not a list of {bits}-bit words")
+        return np.asarray(v, dtype=np.int64)
+
+    def box(key, n):
+        b = doc.get(key)
+        bounds = [b.get("lo"), b.get("hi")] if isinstance(b, dict) else [None, None]
+        for v in bounds:
+            require(isinstance(v, list) and len(v) == n
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
+                    f"{key} does not hold {n} numbers per bound")
+        lo, hi = (np.asarray(v, dtype=float) for v in bounds)
+        require(np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)),
+                f"{key} is not finite with lo < hi")
+        return lo, hi
+
+    word_bits = doc.get("word_bits")
+    require(is_int(word_bits) and 2 <= word_bits <= 32, "word_bits is not an integer in [2, 32]")
+    require(doc.get("tanh_range") == TANH_RANGE and doc.get("tanh_frac") == TANH_FRAC,
+            f"tanh table format is not range {TANH_RANGE}, Q{TANH_FRAC}")
+    table = words(doc.get("tanh_table"), "tanh_table", TANH_FRAC + 1)
+    require(table.size == TANH_TABLE_SIZE, f"tanh_table does not hold {TANH_TABLE_SIZE} entries")
+    flat, shapes = doc.get("weight_words"), doc.get("weight_shapes")
+    require(isinstance(flat, list) and isinstance(shapes, list) and len(flat) == len(shapes) >= 1,
+            "weight_words and weight_shapes do not list the same layers")
+    n_layers = len(shapes)
+    for shape in shapes:
+        require(isinstance(shape, list) and len(shape) == 2
+                and all(is_int(n) and n >= 1 for n in shape),
+                f"weight shape {shape} is not two positive integers")
+    n_out = [shape[0] for shape in shapes]
+    n_in = [shape[1] for shape in shapes]
+    require(n_in[0] == 3 and n_out[-1] == 2 and n_in[1:] == n_out[:-1],
+            f"layer shapes {shapes} do not chain from 3 inputs to 2 outputs")
+    weight_words = tuple(words(w, f"weight_words[{l}]", word_bits) for l, w in enumerate(flat))
+    for l, (w, shape) in enumerate(zip(weight_words, shapes)):
+        require(w.size == shape[0] * shape[1], f"layer {l} holds {w.size} words, shape {shape}")
+    bias = doc.get("bias_words")
+    require(isinstance(bias, list) and len(bias) == n_layers, "bias_words do not match the layers")
+    bias_words = tuple(words(b, f"bias_words[{l}]", word_bits) for l, b in enumerate(bias))
+    require([b.size for b in bias_words] == n_out, "bias lengths do not match the layers")
+    def is_frac(v):  # a binary point inside the word, as `_frac_bits` places it
+        return is_int(v) and abs(v) < word_bits
+
+    for key in ("weight_fracs", "bias_fracs", "preact_fracs"):
+        v = doc.get(key)
+        require(isinstance(v, list) and len(v) == n_layers and all(is_frac(f) for f in v),
+                f"{key} is not one binary point per layer")
+    require(is_frac(doc.get("input_frac")), "input_frac is not a binary point")
+    input_lo, input_hi = box("input_box", n_in[0])
+    output_lo, output_hi = box("output_box", n_out[-1])
     return QuantizedNetwork(
-        weight_words=tuple(
-            np.asarray(w, dtype=np.int64).reshape(shape)
-            for w, shape in zip(doc["weight_words"], doc["weight_shapes"])
-        ),
-        bias_words=tuple(np.asarray(b, dtype=np.int64) for b in doc["bias_words"]),
+        weight_words=tuple(w.reshape(shape) for w, shape in zip(weight_words, shapes)),
+        bias_words=bias_words,
         weight_fracs=tuple(doc["weight_fracs"]),
         bias_fracs=tuple(doc["bias_fracs"]),
         input_frac=doc["input_frac"],
         preact_fracs=tuple(doc["preact_fracs"]),
-        tanh_table=np.asarray(doc["tanh_table"], dtype=np.int64),
-        word_bits=doc["word_bits"],
-        input_lo=np.asarray(doc["input_box"]["lo"], dtype=float),
-        input_hi=np.asarray(doc["input_box"]["hi"], dtype=float),
-        output_lo=np.asarray(doc["output_box"]["lo"], dtype=float),
-        output_hi=np.asarray(doc["output_box"]["hi"], dtype=float),
+        tanh_table=table,
+        word_bits=word_bits,
+        input_lo=input_lo,
+        input_hi=input_hi,
+        output_lo=output_lo,
+        output_hi=output_hi,
     )

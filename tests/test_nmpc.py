@@ -1,5 +1,6 @@
 """Horizon solver checks: oracle dominance, constraint handling,
-receding-horizon behavior and the setpoint-correction rule.
+receding-horizon behavior, the setpoint-correction rule, and recorded
+outputs the solver must reproduce bit for bit.
 """
 
 from dataclasses import replace
@@ -12,6 +13,8 @@ from resonmpc.nmpc import (
     CorrectionState,
     NmpcConfig,
     RecedingHorizonController,
+    _horizon,
+    _pairs_from_z,
     apply_correction,
     brute_force_oracle,
     solve,
@@ -182,3 +185,127 @@ class TestCorrection:
             corr = apply_correction(corr, res.p_avg)
         assert errors[-1] < errors[0]
         assert errors[-1] < 5.0
+
+
+# Solver outputs as float.hex, recorded from the solver whose gradient made
+# a full rollout per coordinate on numpy scalars: cold solves as (state,
+# setpoint, status, iterations, cost, inputs), then a warm run's applied
+# inputs with the iterations and cost of each step's solution.
+COLD = [
+    ((0.0, 0.0), 2000.0, "converged", 142, "0x1.a699661da4b91p+10", [
+        ("0x1.ebc381c6b0f33p+15", "0x1.71a254d4a0ab8p-2"),
+        ("0x1.438a25ffe50cep+15", "0x1.150c16790efecp-1"),
+        ("0x1.55b4a3adb6c7cp+15", "0x1.f5b8c6231aeedp-2"),
+        ("0x1.5e3882d549db6p+15", "0x1.ff0556ea368f1p-2"),
+        ("0x1.4384becc2a618p+15", "0x1.00c7ccff223bap-1"),
+    ]),
+    ((-87.5, 1250.0), 600.0, "converged", 162, "0x1.c4df7471b744ep+27", [
+        ("0x1.d4c0000000000p+14", "0x1.999999999999ap-1"),
+        ("0x1.326ef13697284p+15", "0x1.38ff461c2e5c3p-1"),
+        ("0x1.0ff50054659eap+16", "0x1.fc2eefa90e7fbp-2"),
+        ("0x1.5b8a6756ad50ap+16", "0x1.0152c9ce1f22ap-1"),
+        ("0x1.2529600bbd08bp+16", "0x1.0284fd8f2eea6p-1"),
+    ]),
+    ((-12.0, -1500.0), 3400.0, "converged", 87, "0x1.2a279537506d0p+25", [
+        ("0x1.2a39a6645f1ebp+15", "0x1.999999999999ap-3"),
+        ("0x1.03c8d661c890bp+15", "0x1.3bb7a337dd546p-1"),
+        ("0x1.0b70776c513c0p+15", "0x1.35a1bedfd0aeap-1"),
+        ("0x1.0b5ae883fccebp+15", "0x1.35c851d523411p-1"),
+        ("0x1.14fbe4c414b38p+15", "0x1.38b3442b1b428p-1"),
+    ]),
+]
+WARM = [
+    ("0x1.63c8a4f97c0dap+16", "0x1.67e9ce890249ap-2", 252, "0x1.0e2183003ae3bp+10"),
+    ("0x1.c7a5a622bfcf0p+15", "0x1.f04a691a2f592p-2", 28, "0x1.2e388526d2495p+5"),
+    ("0x1.68699f42a8b16p+15", "0x1.01e598bf97822p-1", 8, "0x1.5f3e275f199c5p+3"),
+    ("0x1.a7627d4fd58ebp+15", "0x1.e7d8f510cee89p-2", 18, "0x1.0846949515ba0p+5"),
+    ("0x1.821c81f4cd1aap+15", "0x1.fd3e952955622p-2", 8, "0x1.82e0139732e23p-1"),
+    ("0x1.11630e0e3a50bp+15", "0x1.340712acdc84fp-1", 16, "0x1.3d227e137214ap+12"),
+    ("0x1.43faeef5b4907p+15", "0x1.ea22a4786092ep-2", 25, "0x1.1693855f08409p+6"),
+    ("0x1.444eba31bcec0p+15", "0x1.ebd7d6660a12fp-2", 21, "0x1.91c6830ead92fp+5"),
+    ("0x1.4571904423d62p+15", "0x1.eaa079b0cd7eap-2", 19, "0x1.c8cc13a2d37f4p+5"),
+    ("0x1.44da586a2aa4ep+15", "0x1.ebd606fb68a63p-2", 18, "0x1.928ba41086954p+5"),
+]
+
+
+def _reference_objective_and_gradient(horizon, z, mu, x0, p_des):
+    """The plain forward difference: a full rollout from the horizon's start
+    per coordinate, cost summed per pair and penalty summed by `sum` over
+    the boundary violations, as the solver computed them before resuming
+    perturbed rollouts from the unchanged prefix."""
+    cfg = horizon.config
+    cost_scale = max(1.0, p_des * p_des)
+    reg = cfg.duty_reg * max(1.0, p_des * p_des)
+    m = cfg.zvs_margin
+
+    def scaled_objective(zz):
+        pairs = _pairs_from_z(zz.tolist(), cfg)
+        records = horizon.rollout(pairs, p_des, (x0.i_o, x0.v_c, 0.0, 0))
+        cost = 0.0
+        for (f, d), r in zip(pairs, records):
+            e = r[4] - p_des
+            cost += 2.0 * (e * e + cfg.alpha * f + reg * (d - 0.5) ** 2)
+        boundary_i = [i for r in records for i in (r[5], r[0])]
+        viols = [max(0.0, m - i) if k % 2 == 0 else max(0.0, i + m)
+                 for k, i in enumerate(boundary_i)]
+        return cost / cost_scale + mu * sum(v * v for v in viols)
+
+    f0 = scaled_objective(z)
+    g = np.empty_like(z)
+    for i in range(z.size):
+        zp = z.copy()
+        zp[i] += cfg.fd_rel_step
+        g[i] = (scaled_objective(zp) - f0) / cfg.fd_rel_step
+    return f0, g
+
+
+class TestBitIdentical:
+    @pytest.mark.parametrize("case", COLD, ids=["rest", "charged", "negative-vc"])
+    def test_cold_solves_reproduce_recorded_outputs(self, params, nmpc_config, case):
+        x, p_des, status, iterations, cost, inputs = case
+        sol = solve(PlantState(*x), p_des, nmpc_config, params)
+        assert (sol.status, sol.iterations) == (status, iterations)
+        assert float(sol.cost).hex() == cost
+        assert [(float(u.f_sw).hex(), float(u.duty).hex()) for u in sol.inputs] == inputs
+
+    def test_warm_run_reproduces_recorded_outputs(self, params, nmpc_config):
+        plant = replace(params, r_l=params.r_l * 1.1, l_r=params.l_r * 0.9)
+        ctrl = RecedingHorizonController(nmpc_config, params)
+        state = PlantState(0.0, 0.0)
+        got = []
+        for k in range(10):
+            u, status = ctrl.step(state, 1500.0 if k < 5 else 2500.0)
+            assert status == "converged"
+            sol = ctrl.last_solution
+            got.append((float(u.f_sw).hex(), float(u.duty).hex(), sol.iterations,
+                        float(sol.cost).hex()))
+            state = simulate_cycle(state, plant, u).state_end
+        assert got == WARM
+
+    def test_prefix_restarted_gradient_matches_full_rollouts(self, params, nmpc_config):
+        horizon = _horizon(params, nmpc_config)
+        rng = np.random.default_rng(2024)
+        cfg = nmpc_config
+        low = np.array([cfg.f_min, cfg.d_min])
+        span = np.array([cfg.f_max, cfg.d_max]) - low
+        cases = []
+        for trial in range(40):
+            x0 = PlantState(float(rng.uniform(-150, 30)), float(rng.uniform(-2000, 2000)))
+            # interior points, box faces and rounding errors outside the box
+            z = rng.uniform(-1e-12, 1.0 + 1e-12, 2 * nmpc_config.n_pairs)
+            z[rng.random(z.size) < 0.2] = float(trial % 2)
+            cases.append((x0, float(rng.uniform(0.0, 4000.0)), z))
+        for x, p_des, _, _, _, inputs in COLD:  # recorded optima: feasible, flat
+            u = np.array([[float.fromhex(f), float.fromhex(d)] for f, d in inputs])
+            cases.append((PlantState(*x), p_des, ((u - low) / span).ravel()))
+        penalized = 0
+        for x0, p_des, z in cases:
+            mu = float(10.0 ** rng.uniform(6, 13))
+            start = (x0.i_o, x0.v_c, 0.0, 0)
+            f, g = horizon.objective(z, mu, start, p_des)
+            f_ref, g_ref = _reference_objective_and_gradient(horizon, z, mu, x0, p_des)
+            assert float(f).hex() == float(f_ref).hex()
+            assert [v.hex() for v in g.tolist()] == [v.hex() for v in g_ref.tolist()]
+            pairs = _pairs_from_z(z.tolist(), nmpc_config)
+            penalized += horizon.rollout(pairs, p_des, start)[-1][3] > 0.0
+        assert penalized >= 10  # the penalty's summation order is exercised

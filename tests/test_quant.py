@@ -4,6 +4,7 @@ oracles, bit-exactness, deviation bounds and file round trips.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,5 +192,105 @@ class TestFiles:
         doc = json.loads(path.read_text())
         doc["format_version"] = 999
         path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError):
+            load_quantized(path)
+
+
+SHIPPED_QNET = Path(__file__).resolve().parent.parent / "artifacts" / "policy_q16.json"
+
+
+def _shipped_doc():
+    return json.loads(SHIPPED_QNET.read_text())
+
+
+def _drop_word(doc):
+    doc["weight_words"][1].pop()
+
+
+def _unchained_shapes(doc):
+    # layer 2 becomes 9 x 10 with a consistent word count; layer 3 still takes 10
+    doc["weight_shapes"][2] = [9, 10]
+    doc["weight_words"][2] = doc["weight_words"][2][:90]
+    doc["bias_words"][2] = doc["bias_words"][2][:9]
+
+
+# each entry breaks exactly one rule of the file format
+MALFORMED = {
+    "tanh_range": lambda d: d.update(tanh_range=2.0),
+    "tanh_frac": lambda d: d.update(tanh_frac=14),
+    "table_length": lambda d: d["tanh_table"].pop(),
+    "word_count": _drop_word,
+    "shape_count": lambda d: d["weight_shapes"][0].__setitem__(0, 11),
+    "shapes_do_not_chain": _unchained_shapes,
+    "first_layer_inputs": lambda d: d["weight_shapes"][0].reverse(),
+    "bias_length": lambda d: d["bias_words"][3].pop(),
+    "weight_fracs_length": lambda d: d["weight_fracs"].pop(),
+    "bias_fracs_length": lambda d: d["bias_fracs"].append(12),
+    "preact_fracs_length": lambda d: d["preact_fracs"].pop(),
+    "input_box_length": lambda d: d["input_box"]["lo"].pop(),
+    "output_box_length": lambda d: d["output_box"]["hi"].append(1.0),
+    "word_outside_width": lambda d: d["weight_words"][0].__setitem__(0, 2**15),
+    "float_word": lambda d: d["bias_words"][0].__setitem__(0, 0.5),
+    "frac_outside_word": lambda d: d["preact_fracs"].__setitem__(0, 16),
+    "missing_key": lambda d: d.pop("input_frac"),
+    "bool_version": lambda d: d.update(format_version=True),
+}
+
+
+class TestLoaderRejectsMalformedFiles:
+    def test_shipped_file_loads(self):
+        qnet = load_quantized(SHIPPED_QNET)
+        assert [w.shape for w in qnet.weight_words] == [
+            tuple(s) for s in _shipped_doc()["weight_shapes"]]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected(self, tmp_path, name):
+        doc = _shipped_doc()
+        MALFORMED[name](doc)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError):
+            load_quantized(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_or_truncated_shipped_file_rejected(self, tmp_path_factory, data):
+        # truncated text, a deleted key, a list entry of the wrong kind or
+        # out of its word width, one entry too few or too many, or another
+        # tanh format: every one must raise ArgumentError, nothing else
+        text = SHIPPED_QNET.read_text()
+        doc = json.loads(text)
+        lists = [(doc, k) for k, v in doc.items() if isinstance(v, list)]
+        lists += [(doc[k], i) for k in ("weight_words", "weight_shapes", "bias_words")
+                  for i in range(len(doc[k]))]
+        lists += [(doc[b], k) for b in ("input_box", "output_box") for k in ("lo", "hi")]
+        kind = data.draw(st.sampled_from(
+            ["truncate", "delete", "wrong_type", "out_of_width", "shorter", "longer", "tanh"]))
+        if kind == "truncate":
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            if kind == "delete":
+                del doc[data.draw(st.sampled_from(sorted(doc)))]
+            elif kind == "tanh":
+                key = data.draw(st.sampled_from(["tanh_range", "tanh_frac"]))
+                doc[key] = data.draw(st.sampled_from([0, 1, 2.0, 8.0, 14, 16, -4.0, "4.0"]))
+            else:
+                owner, key = data.draw(st.sampled_from(lists))
+                seq = owner[key]
+                i = data.draw(st.integers(0, len(seq) - 1))
+                if kind == "shorter":
+                    seq.pop(i)
+                elif kind == "longer":
+                    seq.insert(i, seq[i])
+                elif kind == "out_of_width":
+                    if owner is doc["weight_shapes"] or not all(isinstance(x, int) for x in seq):
+                        seq[i] = "x"  # no word width here: fall back to a wrong type
+                    else:
+                        seq[i] = data.draw(st.sampled_from([2**31, -(2**31) - 1, 2**70]))
+                else:
+                    seq[i] = data.draw(st.sampled_from(["7", None, True, [], {"a": 1}]))
+            text = json.dumps(doc)
+        path = tmp_path_factory.mktemp("q") / "q.json"
+        path.write_text(text)
         with pytest.raises(ArgumentError):
             load_quantized(path)
