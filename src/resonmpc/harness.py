@@ -288,7 +288,7 @@ def run_closed_loop(
                 p_cmd = p_des
             u, status = decide(state, p_cmd, 0.0 if last_p_avg is None else last_p_avg)
 
-        res = simulate_cycle(state, sc.plant_params, u, n_trace=2)
+        res = simulate_cycle(state, sc.plant_params, u)
         records.append(
             CycleRecord(
                 cycle=cycle,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,9 @@ class CycleResult:
     p_avg      : exact cycle-average output power [W]
     zvs_on_ok  : i_o <= 0 at the instant the ON segment begins
     zvs_off_ok : i_o >= 0 at the instant the OFF segment begins
-    trace      : (n, 4) array of sampled (t, i_o, v_c, v_o)
+    trace      : (n_trace, 4) array of (t, i_o, v_c, v_o) sampled at
+                 n_trace instants spread evenly over the period; sampled
+                 when first read, since the closed loop never reads it
     """
 
     state_mid: PlantState
@@ -109,7 +112,23 @@ class CycleResult:
     p_avg: float
     zvs_on_ok: bool
     zvs_off_ok: bool
-    trace: np.ndarray
+    _sampling: tuple = field(repr=False, compare=False)  # (x0, params, u, n_trace)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        x0, params, u, n_trace = self._sampling
+        prop = SegmentPropagator(params)
+        ts = np.linspace(0.0, u.period, n_trace)
+        on_mask = ts <= u.on_time
+        trace = np.empty((n_trace, 4))
+        trace[:, 0] = ts
+        ion, von = prop.step_array(x0.i_o, x0.v_c, params.v_s, ts[on_mask])
+        ioff, voff = prop.step_array(self.state_mid.i_o, self.state_mid.v_c, 0.0,
+                                     ts[~on_mask] - u.on_time)
+        trace[on_mask, 1], trace[on_mask, 2] = ion, von
+        trace[~on_mask, 1], trace[~on_mask, 2] = ioff, voff
+        trace[:, 3] = np.where(on_mask, params.v_s, 0.0)
+        return trace
 
 
 def derive_resonance(params: ConverterParams) -> float:
@@ -217,25 +236,14 @@ def simulate_cycle(
 
     The average power is exact: the ON-segment charge integral equals
     c_r * (v_c change), so p_avg = f_sw * v_s * c_r * delta(v_c over ON).
+    The n_trace-point trace is sampled only if `CycleResult.trace` is read.
     """
     if n_trace < 2:
         raise ArgumentError(f"n_trace must be >= 2, got {n_trace}")
     prop = SegmentPropagator(params)
-    t_on = u.on_time
-    t_off = u.off_time
-    i_mid, v_mid = prop.step(x0.i_o, x0.v_c, params.v_s, t_on)
-    i_end, v_end = prop.step(i_mid, v_mid, 0.0, t_off)
+    i_mid, v_mid = prop.step(x0.i_o, x0.v_c, params.v_s, u.on_time)
+    i_end, v_end = prop.step(i_mid, v_mid, 0.0, u.off_time)
     p_avg = u.f_sw * params.v_s * params.c_r * (v_mid - x0.v_c)
-
-    ts = np.linspace(0.0, u.period, n_trace)
-    on_mask = ts <= t_on
-    trace = np.empty((n_trace, 4))
-    trace[:, 0] = ts
-    ion, von = prop.step_array(x0.i_o, x0.v_c, params.v_s, ts[on_mask])
-    ioff, voff = prop.step_array(i_mid, v_mid, 0.0, ts[~on_mask] - t_on)
-    trace[on_mask, 1], trace[on_mask, 2] = ion, von
-    trace[~on_mask, 1], trace[~on_mask, 2] = ioff, voff
-    trace[:, 3] = np.where(on_mask, params.v_s, 0.0)
 
     for val in (i_end, v_end):
         if not math.isfinite(val):
@@ -246,7 +254,7 @@ def simulate_cycle(
         p_avg=p_avg,
         zvs_on_ok=x0.i_o <= 0.0,
         zvs_off_ok=i_mid >= 0.0,
-        trace=trace,
+        _sampling=(x0, params, u, n_trace),
     )
 
 

@@ -465,24 +465,81 @@ def save_network(net: PolicyNetwork, path):
     Path(path).write_text(json.dumps(doc))
 
 
+class _FileChecks:
+    """A saved JSON document and checks on it that raise ArgumentError naming the file."""
+
+    def __init__(self, path, kind: str, version: int):
+        self.path, self.kind = path, kind
+        try:
+            self.doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ArgumentError(f"{path} is not valid JSON: {exc}") from exc
+        v = self.doc.get("format_version") if isinstance(self.doc, dict) else None
+        if not (_is_int(v) and v == version):
+            raise ArgumentError(f"unsupported {kind} format_version in {path}")
+
+    def require(self, ok, what: str):
+        if not ok:
+            raise ArgumentError(f"malformed {self.kind} in {self.path}: {what}")
+
+    def numbers(self, v, n: int, what: str) -> np.ndarray:
+        """`v` as float64 if it lists n finite numbers."""
+        self.require(isinstance(v, list) and len(v) == n
+                     and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
+                     f"{what} does not hold {n} numbers")
+        a = np.asarray(v, dtype=float)
+        self.require(np.all(np.isfinite(a)), f"{what} is not finite")
+        return a
+
+    def box(self, key: str, n: int):
+        """(lo, hi) of the box under `key`: n finite numbers each, lo < hi."""
+        b = self.doc.get(key)
+        bounds = [b.get("lo"), b.get("hi")] if isinstance(b, dict) else [None, None]
+        lo, hi = (self.numbers(v, n, f"{key} bound") for v in bounds)
+        self.require(np.all(lo < hi), f"{key} does not have lo < hi")
+        return lo, hi
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_network(path) -> PolicyNetwork:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != NETWORK_FORMAT_VERSION:
-        raise ArgumentError(f"unsupported network format_version in {path}")
+    """Read a `save_network` file; a malformed one raises ArgumentError.
+
+    Checked: the JSON, the format version, the activation, layer sizes
+    chaining from 3 inputs to 2 outputs, weight and bias counts against
+    the sizes, finite float32 values, and box lengths.
+    """
+    chk = _FileChecks(path, "network", NETWORK_FORMAT_VERSION)
+    doc = chk.doc
     if doc.get("activation") != "tanh":
         raise ArgumentError(f"unsupported activation {doc.get('activation')!r} in {path}")
-    sizes = doc["layers"]
-    weights = tuple(
-        np.asarray(flat, dtype=np.float32).reshape(n_out, n_in)
-        for flat, n_in, n_out in zip(doc["weights"], sizes[:-1], sizes[1:])
-    )
-    biases = tuple(np.asarray(b, dtype=np.float32) for b in doc["biases"])
+    sizes = doc.get("layers")
+    chk.require(isinstance(sizes, list) and len(sizes) >= 2
+                and all(_is_int(n) and n >= 1 for n in sizes) and sizes[0] == 3 and sizes[-1] == 2,
+                f"layers {sizes} are not positive sizes from 3 inputs to 2 outputs")
+    n_layers = len(sizes) - 1
+    flat, bias = doc.get("weights"), doc.get("biases")
+    chk.require(isinstance(flat, list) and len(flat) == n_layers, "weights do not match the layers")
+    chk.require(isinstance(bias, list) and len(bias) == n_layers, "biases do not match the layers")
+    f32_max = float(np.finfo(np.float32).max)
+    weights, biases = [], []
+    for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = chk.numbers(flat[l], n_in * n_out, f"weights[{l}]")
+        b = chk.numbers(bias[l], n_out, f"biases[{l}]")
+        chk.require(max(np.abs(w).max(), np.abs(b).max()) <= f32_max,
+                    f"layer {l} holds values beyond float32")
+        weights.append(w.astype(np.float32).reshape(n_out, n_in))
+        biases.append(b.astype(np.float32))
+    input_lo, input_hi = chk.box("input_box", 3)
+    output_lo, output_hi = chk.box("output_box", 2)
     return PolicyNetwork(
-        weights=weights,
-        biases=biases,
+        weights=tuple(weights),
+        biases=tuple(biases),
         activation="tanh",
-        input_lo=np.asarray(doc["input_box"]["lo"], dtype=float),
-        input_hi=np.asarray(doc["input_box"]["hi"], dtype=float),
-        output_lo=np.asarray(doc["output_box"]["lo"], dtype=float),
-        output_hi=np.asarray(doc["output_box"]["hi"], dtype=float),
+        input_lo=input_lo,
+        input_hi=input_hi,
+        output_lo=output_lo,
+        output_hi=output_hi,
     )

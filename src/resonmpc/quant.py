@@ -7,6 +7,13 @@ their consumer (the tanh table, or the output-box clip).
 Inference runs entirely in integer arithmetic: wide accumulation,
 round-to-nearest-even requantization with saturation, and a 1024-entry
 interpolated tanh table, so results are bit-exact across platforms.
+
+Everything inference needs that depends only on the network is worked
+out once per `QuantizedNetwork`, on its first evaluation (`plan`): the
+transposed weight words, the biases aligned to each accumulator's binary
+point, the requantization shifts, and the activation's clip bounds,
+table offset, step shift and slope table.  A call then only multiplies,
+adds, shifts, clips and indexes.
 """
 
 from __future__ import annotations
@@ -14,13 +21,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, QuantizationError
 from .plant import ControlInput
-from .policy import PolicyNetwork, forward_batch
+from .policy import PolicyNetwork, _FileChecks, _is_int, forward_batch
 
 __all__ = [
     "QuantizedNetwork",
@@ -59,16 +68,33 @@ def _quantize_array(a: np.ndarray, frac: int, word_bits: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def _rne_rshift(v: np.ndarray, shift: int) -> np.ndarray:
-    """Round-to-nearest-even arithmetic right shift on int64 arrays."""
+def _rne_rshift(v, shift: int):
+    """Round-to-nearest-even arithmetic right shift of int64 words (left when shift <= 0).
+
+    Adding 2**(shift-1) - 1 plus the lowest kept bit carries into the kept
+    bits exactly when the dropped bits exceed half, or equal half with an
+    odd kept part.  Exact while |v| + 2**shift fits in int64.
+    """
     if shift <= 0:
         return v << (-shift)
-    half = np.int64(1) << (shift - 1)
-    mask = (np.int64(1) << shift) - 1
-    q = v >> shift
-    r = v & mask
-    up = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + up.astype(np.int64)
+    t = v >> shift
+    t &= 1
+    t += v
+    t += (1 << (shift - 1)) - 1
+    t >>= shift
+    return t
+
+
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) without np.clip's Python wrapper, which costs µs per call."""
+    t = np.maximum(v, lo)
+    return np.minimum(t, hi, out=t)
+
+
+def _preact_fracs(word_bits: int, n_layers: int) -> tuple:
+    """Pre-activation binary points: [-TANH_RANGE, TANH_RANGE) hidden, [-1, 1) output."""
+    hidden_frac = word_bits - 1 - int(math.log2(TANH_RANGE))
+    return (hidden_frac,) * (n_layers - 1) + (word_bits - 1,)
 
 
 def _build_tanh_table() -> np.ndarray:
@@ -96,6 +122,68 @@ class QuantizedNetwork:
     @property
     def n_layers(self) -> int:
         return len(self.weight_words)
+
+    @cached_property
+    def plan(self) -> "_Plan":
+        """The constants `_forward_q_core` needs, worked out on first use.
+
+        Per layer: the transposed weight words, the bias words aligned to
+        the accumulator's binary point, the requantization shift, and the
+        activation's clip bounds, table offset and step shift; per network:
+        the table's slopes and the input and output scalings.
+        """
+        limit = 2 ** (self.word_bits - 1)
+        table = self.tanh_table
+        layers = []
+        a_frac = self.input_frac
+        for l, (w, b) in enumerate(zip(self.weight_words, self.bias_words)):
+            acc_frac = self.weight_fracs[l] + a_frac
+            frac = self.preact_fracs[l]
+            hidden = l < self.n_layers - 1
+            # the tanh table spans [-R, R) = [offset, offset + 2**step) in words
+            step = frac + int(math.log2(2 * TANH_RANGE))
+            offset = -(1 << (step - 1))
+            layers.append(_Layer(
+                weights_t=np.ascontiguousarray(w.T),
+                bias=_rne_rshift(b, self.bias_fracs[l] - acc_frac),
+                shift=acc_frac - frac,
+                lo=max(-limit, offset) if hidden else -limit,
+                hi=min(limit - 1, offset + (1 << step)) if hidden else limit - 1,
+                offset=offset,
+                step=step,
+            ))
+            a_frac = TANH_FRAC
+        return _Plan(
+            layers=tuple(layers),
+            table=table,
+            slope=np.append(np.diff(table), 0),
+            input_span=self.input_hi - self.input_lo,
+            input_scale=float(2**self.input_frac),
+            output_scale=float(2 ** self.preact_fracs[-1]),
+            output_center=0.5 * (self.output_lo + self.output_hi),
+            output_half=0.5 * (self.output_hi - self.output_lo),
+        )
+
+
+class _Layer(NamedTuple):
+    weights_t: np.ndarray  # weight words, (n_in, n_out)
+    bias: np.ndarray  # bias words at the accumulator's binary point
+    shift: int  # accumulator -> pre-activation word, round to nearest even
+    lo: int  # pre-activation clip: the word, and for hidden layers the table domain
+    hi: int
+    offset: int  # hidden layers: pre-activation word at the table's first entry
+    step: int  # hidden layers: log2 of the table domain's width in words
+
+
+class _Plan(NamedTuple):
+    layers: tuple  # one _Layer per layer
+    table: np.ndarray  # tanh table, Q15
+    slope: np.ndarray  # table[k + 1] - table[k], 0 past the last entry
+    input_span: np.ndarray
+    input_scale: float  # 2**input_frac
+    output_scale: float  # 2**(output pre-activation frac)
+    output_center: np.ndarray
+    output_half: np.ndarray
 
 
 def quantize(
@@ -134,8 +222,7 @@ def quantize(
     # that would be discarded anyway.  Sizing hidden words by the calibrated
     # pre-activation range instead (|z| up to ~30) would leave Q9/Q10 words,
     # whose steps show up as a staircase in the closed-loop input.
-    hidden_frac = word_bits - 1 - int(math.log2(TANH_RANGE))  # [-R, R)
-    preact_fracs = (hidden_frac,) * (len(net.weights) - 1) + (word_bits - 1,)
+    preact_fracs = _preact_fracs(word_bits, len(net.weights))
 
     return QuantizedNetwork(
         weight_words=tuple(w_words),
@@ -153,28 +240,30 @@ def quantize(
     )
 
 
-def _saturate(v: np.ndarray, word_bits: int):
-    limit = np.int64(2 ** (word_bits - 1) - 1)
-    clipped = np.clip(v, -limit - 1, limit)
-    return clipped, int(np.count_nonzero(clipped != v))
+def _tanh_words(z: np.ndarray, layer: _Layer, plan: _Plan) -> np.ndarray:
+    """Q15 tanh of pre-activation words, by linear interpolation in the table.
+
+    One clip saturates the words and clamps them to the table's domain.
+    That domain is 1023 steps of 2**step / 1023 words, so for
+    num = (z - offset) * 1023 the entry is num >> step and the remainder
+    num & (2**step - 1); the slope past the last entry is 0.
+    """
+    num = _clip(z, layer.lo, layer.hi)
+    num -= layer.offset
+    num *= TANH_TABLE_SIZE - 1
+    k = num >> layer.step
+    num &= (1 << layer.step) - 1
+    num *= plan.slope[k]
+    num >>= layer.step
+    num += plan.table[k]
+    return num
 
 
-def _tanh_lookup(x_words: np.ndarray, frac: int, table: np.ndarray) -> np.ndarray:
-    """Integer linear interpolation into the tanh table; clamps outside range."""
-    lo = -(np.int64(TANH_RANGE) << frac)
-    span = np.int64(2 * TANH_RANGE) << frac
-    num = (x_words - lo) * np.int64(TANH_TABLE_SIZE - 1)
-    idx = num // span
-    below = idx < 0
-    above = idx >= TANH_TABLE_SIZE - 1
-    idx = np.clip(idx, 0, TANH_TABLE_SIZE - 2)
-    rem = num - idx * span
-    y0 = table[idx]
-    y1 = table[idx + 1]
-    y = y0 + ((y1 - y0) * rem) // span
-    y = np.where(below, table[0], y)
-    y = np.where(above, table[-1], y)
-    return y
+def _preact(a: np.ndarray, layer: _Layer) -> np.ndarray:
+    """A layer's pre-activation words: wide products, the aligned bias, then RNE."""
+    acc = a @ layer.weights_t
+    acc += layer.bias
+    return _rne_rshift(acc, layer.shift)
 
 
 def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
@@ -182,34 +271,25 @@ def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
 
     The count is of output words clipped to the output box.  Hidden
     pre-activation words clamp to the tanh table's domain as part of the
-    activation and are not counted.
+    activation and are not counted.  The steps here and in the helpers
+    update fresh arrays in place: on a 10k-row batch a new temporary per
+    step costs about as much as the arithmetic.
     """
+    plan = qnet.plan
     x = np.asarray(x, dtype=float).reshape(-1, 3)
-    xn = 2.0 * (x - qnet.input_lo) / (qnet.input_hi - qnet.input_lo) - 1.0
-    limit = np.int64(2 ** (qnet.word_bits - 1) - 1)
-    a = np.clip(np.rint(xn * 2**qnet.input_frac), -limit - 1, limit).astype(np.int64)
-    a_frac = qnet.input_frac
-    for l in range(qnet.n_layers):
-        w = qnet.weight_words[l]
-        acc_frac = qnet.weight_fracs[l] + a_frac
-        acc = a @ w.T  # products accumulated wide (int64)
-        bias = qnet.bias_words[l] << max(0, acc_frac - qnet.bias_fracs[l])
-        if acc_frac < qnet.bias_fracs[l]:
-            bias = _rne_rshift(qnet.bias_words[l], qnet.bias_fracs[l] - acc_frac)
-        acc = acc + bias
-        z = _rne_rshift(acc, acc_frac - qnet.preact_fracs[l])
-        z, saturations = _saturate(z, qnet.word_bits)
-        if l < qnet.n_layers - 1:
-            a = _tanh_lookup(z, qnet.preact_fracs[l], qnet.tanh_table)
-            a_frac = TANH_FRAC
-        else:
-            a = z
-            a_frac = qnet.preact_fracs[l]
-    y = a.astype(float) / float(2**a_frac)
-    center = 0.5 * (qnet.output_lo + qnet.output_hi)
-    half = 0.5 * (qnet.output_hi - qnet.output_lo)
-    u = np.clip(center + half * y, qnet.output_lo, qnet.output_hi)
-    return u, saturations
+    xn = 2.0 * (x - qnet.input_lo) / plan.input_span - 1.0
+    out = plan.layers[-1]  # its clip bounds are the word's range
+    a = _clip(np.rint(xn * plan.input_scale), out.lo, out.hi).astype(np.int64)
+    for layer in plan.layers[:-1]:
+        a = _tanh_words(_preact(a, layer), layer, plan)
+    z = _preact(a, out)
+    words = _clip(z, out.lo, out.hi)
+    saturations = int(np.count_nonzero(words != z))
+    y = words.astype(float)
+    y /= plan.output_scale
+    y *= plan.output_half
+    y += plan.output_center
+    return _clip(y, qnet.output_lo, qnet.output_hi), saturations
 
 
 def forward_q_batch(qnet: QuantizedNetwork, x: np.ndarray) -> np.ndarray:
@@ -276,44 +356,21 @@ def load_quantized(path) -> QuantizedNetwork:
     Checked: the JSON, the format version, every key's type, the tanh
     table's range, format and length against this module's, words and
     binary points inside the word width, word counts against the shapes,
-    shapes chaining from 3 inputs to 2 outputs, and bias, format and box
-    lengths against the layers.
+    shapes chaining from 3 inputs to 2 outputs, bias, format and box
+    lengths against the layers, and the pre-activation binary points
+    against the ones `quantize` fixes for the word width.
     """
-    def require(ok, what):
-        if not ok:
-            raise ArgumentError(f"malformed quantized network in {path}: {what}")
-
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"{path} is not valid JSON: {exc}") from exc
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if not (is_int(version) and version == QNET_FORMAT_VERSION):
-        raise ArgumentError(f"unsupported quantized-network format_version in {path}")
+    chk = _FileChecks(path, "quantized network", QNET_FORMAT_VERSION)
+    doc, require = chk.doc, chk.require
 
     def words(v, what, bits):
         lim = 1 << (bits - 1)
-        require(isinstance(v, list) and all(is_int(x) and -lim <= x < lim for x in v),
+        require(isinstance(v, list) and all(_is_int(x) and -lim <= x < lim for x in v),
                 f"{what} is not a list of {bits}-bit words")
         return np.asarray(v, dtype=np.int64)
 
-    def box(key, n):
-        b = doc.get(key)
-        bounds = [b.get("lo"), b.get("hi")] if isinstance(b, dict) else [None, None]
-        for v in bounds:
-            require(isinstance(v, list) and len(v) == n
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
-                    f"{key} does not hold {n} numbers per bound")
-        lo, hi = (np.asarray(v, dtype=float) for v in bounds)
-        require(np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)),
-                f"{key} is not finite with lo < hi")
-        return lo, hi
-
     word_bits = doc.get("word_bits")
-    require(is_int(word_bits) and 2 <= word_bits <= 32, "word_bits is not an integer in [2, 32]")
+    require(_is_int(word_bits) and 2 <= word_bits <= 32, "word_bits is not an integer in [2, 32]")
     require(doc.get("tanh_range") == TANH_RANGE and doc.get("tanh_frac") == TANH_FRAC,
             f"tanh table format is not range {TANH_RANGE}, Q{TANH_FRAC}")
     table = words(doc.get("tanh_table"), "tanh_table", TANH_FRAC + 1)
@@ -324,7 +381,7 @@ def load_quantized(path) -> QuantizedNetwork:
     n_layers = len(shapes)
     for shape in shapes:
         require(isinstance(shape, list) and len(shape) == 2
-                and all(is_int(n) and n >= 1 for n in shape),
+                and all(_is_int(n) and n >= 1 for n in shape),
                 f"weight shape {shape} is not two positive integers")
     n_out = [shape[0] for shape in shapes]
     n_in = [shape[1] for shape in shapes]
@@ -338,15 +395,19 @@ def load_quantized(path) -> QuantizedNetwork:
     bias_words = tuple(words(b, f"bias_words[{l}]", word_bits) for l, b in enumerate(bias))
     require([b.size for b in bias_words] == n_out, "bias lengths do not match the layers")
     def is_frac(v):  # a binary point inside the word, as `_frac_bits` places it
-        return is_int(v) and abs(v) < word_bits
+        return _is_int(v) and abs(v) < word_bits
 
     for key in ("weight_fracs", "bias_fracs", "preact_fracs"):
         v = doc.get(key)
         require(isinstance(v, list) and len(v) == n_layers and all(is_frac(f) for f in v),
                 f"{key} is not one binary point per layer")
     require(is_frac(doc.get("input_frac")), "input_frac is not a binary point")
-    input_lo, input_hi = box("input_box", n_in[0])
-    output_lo, output_hi = box("output_box", n_out[-1])
+    # pre-activation words span their consumer's domain by design, so any
+    # other binary point mis-scales the tanh table or the output box
+    require(tuple(doc["preact_fracs"]) == _preact_fracs(word_bits, n_layers),
+            f"preact_fracs are not {list(_preact_fracs(word_bits, n_layers))}")
+    input_lo, input_hi = chk.box("input_box", n_in[0])
+    output_lo, output_hi = chk.box("output_box", n_out[-1])
     return QuantizedNetwork(
         weight_words=tuple(w.reshape(shape) for w, shape in zip(weight_words, shapes)),
         bias_words=bias_words,

@@ -248,7 +248,11 @@ def _reference_objective_and_gradient(horizon, z, mu, x0, p_des):
         boundary_i = [i for r in records for i in (r[5], r[0])]
         viols = [max(0.0, m - i) if k % 2 == 0 else max(0.0, i + m)
                  for k, i in enumerate(boundary_i)]
-        return cost / cost_scale + mu * sum(v * v for v in viols)
+        # left to right from 0, as the solver adds; sum() compensates on 3.12+
+        penalty = 0
+        for v in viols:
+            penalty += v * v
+        return cost / cost_scale + mu * penalty
 
     f0 = scaled_objective(z)
     g = np.empty_like(z)

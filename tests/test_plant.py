@@ -27,6 +27,26 @@ def system_matrix(p):
     return np.array([[-p.r_l / p.l_r, -1.0 / p.l_r], [1.0 / p.c_r, 0.0]])
 
 
+def ref_cycle(x0, params, u, n_trace):
+    """Reference cycle: end states, power, ZVS flags and the trace, all built eagerly."""
+    prop = SegmentPropagator(params)
+    t_on = u.on_time
+    t_off = u.off_time
+    i_mid, v_mid = prop.step(x0.i_o, x0.v_c, params.v_s, t_on)
+    i_end, v_end = prop.step(i_mid, v_mid, 0.0, t_off)
+    p_avg = u.f_sw * params.v_s * params.c_r * (v_mid - x0.v_c)
+    ts = np.linspace(0.0, u.period, n_trace)
+    on_mask = ts <= t_on
+    trace = np.empty((n_trace, 4))
+    trace[:, 0] = ts
+    ion, von = prop.step_array(x0.i_o, x0.v_c, params.v_s, ts[on_mask])
+    ioff, voff = prop.step_array(i_mid, v_mid, 0.0, ts[~on_mask] - t_on)
+    trace[on_mask, 1], trace[on_mask, 2] = ion, von
+    trace[~on_mask, 1], trace[~on_mask, 2] = ioff, voff
+    trace[:, 3] = np.where(on_mask, params.v_s, 0.0)
+    return (i_mid, v_mid, i_end, v_end, p_avg, x0.i_o <= 0.0, i_mid >= 0.0), trace
+
+
 class TestParams:
     def test_nominal_accepted(self, params):
         assert params.v_s == 230.0
@@ -155,8 +175,29 @@ class TestSimulateCycle:
         assert not res2.zvs_on_ok
 
     def test_n_trace_validation(self, params):
-        with pytest.raises(ArgumentError):
-            simulate_cycle(PlantState(0.0, 0.0), params, ControlInput(40e3, 0.5), n_trace=1)
+        # raised by the call itself, before the trace is ever read
+        for n_trace in (1, 0, -3):
+            with pytest.raises(ArgumentError):
+                simulate_cycle(PlantState(0.0, 0.0), params, ControlInput(40e3, 0.5),
+                               n_trace=n_trace)
+
+    @pytest.mark.parametrize("n_trace", [2, 64, 20001])
+    def test_matches_eager_reference(self, params, n_trace):
+        # duties at and next to the input box's edges put trace samples on
+        # either side of the switching instant
+        rng = np.random.default_rng(n_trace)
+        duties = [0.2, np.nextafter(0.2, 1.0), 0.5, np.nextafter(0.8, 0.0), 0.8]
+        for k, duty in enumerate(duties):
+            for f_sw in (30e3, 61e3, 100e3):
+                x0 = PlantState(*rng.uniform([-150.0, -2000.0], [150.0, 2000.0]).tolist())
+                u = ControlInput(f_sw, float(duty))
+                res = simulate_cycle(x0, params, u, n_trace=n_trace)
+                fields, trace = ref_cycle(x0, params, u, n_trace)
+                assert (res.state_mid.i_o, res.state_mid.v_c, res.state_end.i_o,
+                        res.state_end.v_c, res.p_avg, res.zvs_on_ok, res.zvs_off_ok) == fields
+                assert res.trace.shape == trace.shape
+                assert res.trace.tobytes() == trace.tobytes()
+                assert res.trace is res.trace  # sampled once, on the first read
 
     def test_mid_and_end_states_consistent(self, params):
         u = ControlInput(45e3, 0.6)

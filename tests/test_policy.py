@@ -4,9 +4,12 @@ behavior, dataset generation and file round trips.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resonmpc import policy
 from resonmpc.errors import ArgumentError
@@ -293,5 +296,111 @@ class TestNetworkFile:
         doc = json.loads(path.read_text())
         doc["activation"] = activation
         path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError):
+            load_network(path)
+
+
+SHIPPED_NET = Path(__file__).resolve().parent.parent / "artifacts" / "policy.json"
+
+
+def _unchained_layers(doc):
+    # layer 2 becomes 9 wide with consistent counts; layer 3 still takes 10
+    doc["layers"][2] = 9
+    doc["weights"][1] = doc["weights"][1][:90]
+    doc["biases"][1] = doc["biases"][1][:9]
+
+
+def _resized(layer, n_in, n_out):
+    """A mutation that gives `layer` n_in inputs and n_out outputs with consistent counts."""
+    def mutate(doc):
+        doc["layers"][layer], doc["layers"][layer + 1] = n_in, n_out
+        doc["weights"][layer] = [0.5] * (n_in * n_out)
+        doc["biases"][layer] = [0.5] * n_out
+    return mutate
+
+
+# each entry breaks exactly one rule of the file format
+MALFORMED_NETS = {
+    "not_json": None,
+    "bool_version": lambda d: d.update(format_version=True),
+    "missing_layers": lambda d: d.pop("layers"),
+    "layers_not_list": lambda d: d.update(layers=7),
+    "first_layer_inputs": _resized(0, 4, 10),
+    "last_layer_outputs": _resized(5, 10, 3),
+    "zero_width_layer": lambda d: [_resized(0, 3, 0)(d), _resized(1, 0, 10)(d)],
+    "layers_do_not_chain": _unchained_layers,
+    "fewer_weight_lists": lambda d: d["weights"].pop(),
+    "fewer_bias_lists": lambda d: d["biases"].pop(),
+    "weight_count": lambda d: d["weights"][2].pop(),
+    "bias_count": lambda d: d["biases"][0].append(0.0),
+    "string_weight": lambda d: d["weights"][0].__setitem__(3, "0.1"),
+    "bool_bias": lambda d: d["biases"][1].__setitem__(0, True),
+    "weight_beyond_float32": lambda d: d["weights"][0].__setitem__(0, 1e39),
+    "missing_input_box": lambda d: d.pop("input_box"),
+    "input_box_length": lambda d: d["input_box"]["lo"].pop(),
+    "output_box_length": lambda d: d["output_box"]["hi"].append(1.0),
+    "box_not_increasing": lambda d: d["output_box"]["lo"].__setitem__(0, 1e6),
+}
+
+
+class TestLoaderRejectsMalformedFiles:
+    def test_shipped_file_loads(self):
+        net = load_network(SHIPPED_NET)
+        assert net.layer_sizes == tuple(json.loads(SHIPPED_NET.read_text())["layers"])
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_NETS))
+    def test_rejected(self, tmp_path, name):
+        path = tmp_path / "net.json"
+        if MALFORMED_NETS[name] is None:
+            path.write_text(SHIPPED_NET.read_text()[:-1])
+        else:
+            doc = json.loads(SHIPPED_NET.read_text())
+            MALFORMED_NETS[name](doc)
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError):
+            load_network(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, tmp_path, value):
+        doc = json.loads(SHIPPED_NET.read_text())
+        doc["biases"][2][4] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        with pytest.raises(ArgumentError):
+            load_network(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_or_truncated_shipped_file_rejected(self, tmp_path_factory, data):
+        # truncated text, a deleted key, a list entry of the wrong kind or
+        # not finite, or one entry too few or too many: every one must
+        # raise ArgumentError, nothing else
+        text = SHIPPED_NET.read_text()
+        doc = json.loads(text)
+        lists = [(doc, k) for k in ("layers", "weights", "biases")]
+        lists += [(doc[k], i) for k in ("weights", "biases") for i in range(len(doc[k]))]
+        lists += [(doc[b], k) for b in ("input_box", "output_box") for k in ("lo", "hi")]
+        kind = data.draw(st.sampled_from(
+            ["truncate", "delete", "wrong_type", "not_finite", "shorter", "longer"]))
+        if kind == "truncate":
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            if kind == "delete":
+                del doc[data.draw(st.sampled_from(sorted(doc)))]
+            else:
+                owner, key = data.draw(st.sampled_from(lists))
+                seq = owner[key]
+                i = data.draw(st.integers(0, len(seq) - 1))
+                if kind == "shorter":
+                    seq.pop(i)
+                elif kind == "longer":
+                    seq.insert(i, seq[i])
+                elif kind == "not_finite" and owner is not doc:
+                    seq[i] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+                else:
+                    seq[i] = data.draw(st.sampled_from(["7", None, True, [], {"a": 1}]))
+            text = json.dumps(doc)
+        path = tmp_path_factory.mktemp("n") / "net.json"
+        path.write_text(text)
         with pytest.raises(ArgumentError):
             load_network(path)

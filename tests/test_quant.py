@@ -1,5 +1,6 @@
 """Fixed-point inference: rounding primitives against exact-arithmetic
-oracles, bit-exactness, deviation bounds and file round trips.
+oracles, the planned integer path against an op-by-op reference,
+bit-exactness, deviation bounds and file round trips.
 """
 
 import json
@@ -20,6 +21,7 @@ from resonmpc.quant import (
     _frac_bits,
     _quantize_array,
     _rne_rshift,
+    _tanh_words,
     forward_q,
     forward_q_batch,
     load_quantized,
@@ -38,6 +40,80 @@ def small_qnet(seed=0, word_bits=16):
         rng.uniform(0, 3000, 500),
     ])
     return net, calib, quantize(net, calib, word_bits=word_bits)
+
+
+def ref_rne_rshift(v, shift):
+    """Reference round-to-nearest-even shift: compare the dropped bits with half."""
+    if shift <= 0:
+        return v << (-shift)
+    half = np.int64(1) << (shift - 1)
+    mask = (np.int64(1) << shift) - 1
+    q = v >> shift
+    r = v & mask
+    up = (r > half) | ((r == half) & ((q & 1) == 1))
+    return q + up.astype(np.int64)
+
+
+def ref_saturate(v, word_bits):
+    limit = np.int64(2 ** (word_bits - 1) - 1)
+    clipped = np.clip(v, -limit - 1, limit)
+    return clipped, int(np.count_nonzero(clipped != v))
+
+
+def ref_tanh_lookup(x_words, frac, table):
+    """Reference activation: integer interpolation into the table, clamped outside."""
+    lo = -(np.int64(TANH_RANGE) << frac)
+    span = np.int64(2 * TANH_RANGE) << frac
+    num = (x_words - lo) * np.int64(TANH_TABLE_SIZE - 1)
+    idx = num // span
+    below = idx < 0
+    above = idx >= TANH_TABLE_SIZE - 1
+    idx = np.clip(idx, 0, TANH_TABLE_SIZE - 2)
+    rem = num - idx * span
+    y0 = table[idx]
+    y1 = table[idx + 1]
+    y = y0 + ((y1 - y0) * rem) // span
+    y = np.where(below, table[0], y)
+    y = np.where(above, table[-1], y)
+    return y
+
+
+def ref_forward_q_core(qnet, x):
+    """Reference integer forward pass, every constant worked out per call and op by op."""
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    xn = 2.0 * (x - qnet.input_lo) / (qnet.input_hi - qnet.input_lo) - 1.0
+    limit = np.int64(2 ** (qnet.word_bits - 1) - 1)
+    a = np.clip(np.rint(xn * 2**qnet.input_frac), -limit - 1, limit).astype(np.int64)
+    a_frac = qnet.input_frac
+    for l in range(qnet.n_layers):
+        w = qnet.weight_words[l]
+        acc_frac = qnet.weight_fracs[l] + a_frac
+        acc = a @ w.T
+        bias = qnet.bias_words[l] << max(0, acc_frac - qnet.bias_fracs[l])
+        if acc_frac < qnet.bias_fracs[l]:
+            bias = ref_rne_rshift(qnet.bias_words[l], qnet.bias_fracs[l] - acc_frac)
+        acc = acc + bias
+        z = ref_rne_rshift(acc, acc_frac - qnet.preact_fracs[l])
+        z, saturations = ref_saturate(z, qnet.word_bits)
+        if l < qnet.n_layers - 1:
+            a = ref_tanh_lookup(z, qnet.preact_fracs[l], qnet.tanh_table)
+            a_frac = TANH_FRAC
+        else:
+            a = z
+            a_frac = qnet.preact_fracs[l]
+    y = a.astype(float) / float(2**a_frac)
+    center = 0.5 * (qnet.output_lo + qnet.output_hi)
+    half = 0.5 * (qnet.output_hi - qnet.output_lo)
+    u = np.clip(center + half * y, qnet.output_lo, qnet.output_hi)
+    return u, saturations
+
+
+def wide_box_points(n, seed, widen=3.0):
+    """Inputs from the sampling box widened `widen` times about its centre."""
+    lo = np.array([-150.0, -2000.0, 0.0])
+    hi = np.array([150.0, 2000.0, 4000.0])
+    c, h = 0.5 * (lo + hi), 0.5 * widen * (hi - lo)
+    return np.random.default_rng(seed).uniform(c - h, c + h, size=(n, 3))
 
 
 class TestRounding:
@@ -157,6 +233,50 @@ class TestForwardQ:
         assert d24.mean() < d16.mean()
 
 
+class TestMatchesReference:
+    """The planned path gives the reference's bits, outputs and saturation count."""
+
+    @staticmethod
+    def assert_matches(net, qnet, x, n_single=200):
+        u_ref, sat_ref = ref_forward_q_core(qnet, x)
+        u = forward_q_batch(qnet, x)
+        assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
+        assert quantization_report(net, qnet, x)["saturation_events"] == sat_ref
+        for xk, row in zip(x[:n_single], u_ref):
+            v = forward_q(qnet, xk)
+            assert (v.f_sw, v.duty) == (row[0], row[1])
+        return sat_ref
+
+    def test_shipped_network(self, trained_net, trained_qnet, sampling_box_points):
+        self.assert_matches(trained_net, trained_qnet, sampling_box_points)
+        sat = self.assert_matches(trained_net, trained_qnet, wide_box_points(10_000, 11))
+        assert sat > 0  # the wide box drives output words into saturation
+
+    @pytest.mark.parametrize("word_bits", [8, 12, 16, 24])
+    def test_small_network_at_word_width(self, word_bits):
+        net, _, qnet = small_qnet(seed=4, word_bits=word_bits)
+        self.assert_matches(net, qnet, wide_box_points(10_000, word_bits, widen=40.0))
+
+    def test_activation_on_every_16_bit_word(self, trained_qnet):
+        frac = trained_qnet.preact_fracs[0]
+        z = np.arange(-(2**15), 2**15, dtype=np.int64)
+        # accumulator values beyond the word saturate before the lookup
+        z = np.concatenate([z, [-(2**40), -(2**15) - 1, 2**15, 2**40]])
+        got = _tanh_words(z, trained_qnet.plan.layers[0], trained_qnet.plan)
+        want = ref_tanh_lookup(ref_saturate(z, 16)[0], frac, trained_qnet.tanh_table)
+        np.testing.assert_array_equal(got, want)
+
+    def test_activation_at_24_bits(self):
+        _, _, qnet = small_qnet(word_bits=24)
+        rng = np.random.default_rng(24)
+        z = np.concatenate([rng.integers(-(2**24), 2**24, 200_000),
+                            np.arange(-(2**23) - 3, -(2**23) + 3000),
+                            np.arange(2**23 - 3000, 2**23 + 3)])
+        got = _tanh_words(z, qnet.plan.layers[0], qnet.plan)
+        want = ref_tanh_lookup(ref_saturate(z, 24)[0], qnet.preact_fracs[0], qnet.tanh_table)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestReport:
     def test_report_fields_and_bounds(self, trained_net, trained_qnet, sampling_box_points):
         rep = quantization_report(trained_net, trained_qnet, sampling_box_points)
@@ -232,6 +352,8 @@ MALFORMED = {
     "word_outside_width": lambda d: d["weight_words"][0].__setitem__(0, 2**15),
     "float_word": lambda d: d["bias_words"][0].__setitem__(0, 0.5),
     "frac_outside_word": lambda d: d["preact_fracs"].__setitem__(0, 16),
+    "hidden_preact_frac": lambda d: d["preact_fracs"].__setitem__(1, -2),
+    "output_preact_frac": lambda d: d["preact_fracs"].__setitem__(-1, 14),
     "missing_key": lambda d: d.pop("input_frac"),
     "bool_version": lambda d: d.update(format_version=True),
 }
@@ -256,8 +378,9 @@ class TestLoaderRejectsMalformedFiles:
     @given(data=st.data())
     def test_mutated_or_truncated_shipped_file_rejected(self, tmp_path_factory, data):
         # truncated text, a deleted key, a list entry of the wrong kind or
-        # out of its word width, one entry too few or too many, or another
-        # tanh format: every one must raise ArgumentError, nothing else
+        # out of its word width, one entry too few or too many, another
+        # tanh format, or a pre-activation binary point inside the word
+        # other than the fixed one: every one must raise ArgumentError
         text = SHIPPED_QNET.read_text()
         doc = json.loads(text)
         lists = [(doc, k) for k, v in doc.items() if isinstance(v, list)]
@@ -265,7 +388,8 @@ class TestLoaderRejectsMalformedFiles:
                   for i in range(len(doc[k]))]
         lists += [(doc[b], k) for b in ("input_box", "output_box") for k in ("lo", "hi")]
         kind = data.draw(st.sampled_from(
-            ["truncate", "delete", "wrong_type", "out_of_width", "shorter", "longer", "tanh"]))
+            ["truncate", "delete", "wrong_type", "out_of_width", "shorter", "longer", "tanh",
+             "preact"]))
         if kind == "truncate":
             text = text[: data.draw(st.integers(0, len(text) - 1))]
         else:
@@ -274,6 +398,10 @@ class TestLoaderRejectsMalformedFiles:
             elif kind == "tanh":
                 key = data.draw(st.sampled_from(["tanh_range", "tanh_frac"]))
                 doc[key] = data.draw(st.sampled_from([0, 1, 2.0, 8.0, 14, 16, -4.0, "4.0"]))
+            elif kind == "preact":
+                fracs = doc["preact_fracs"]
+                i = data.draw(st.integers(0, len(fracs) - 1))
+                fracs[i] = data.draw(st.integers(-15, 15).filter(lambda f: f != fracs[i]))
             else:
                 owner, key = data.draw(st.sampled_from(lists))
                 seq = owner[key]
