@@ -25,10 +25,17 @@ labelling loop of `resonmpc.policy`; the closed-loop sets from
 `resonmpc.harness.generate_dataset_closed_loop`.
 """
 
+import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads its BLAS: the networks' products
+# are tiny, and a thread pool only makes the solver's L-BFGS-B steps wait
+# when another process keeps a CPU busy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

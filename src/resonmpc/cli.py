@@ -198,10 +198,16 @@ def _cmd_grid(args) -> int:
     )
     if args.out:
         harness.write_summary_json(result, args.out)
-    errors = [c["steady_state_error_w"] for c in result["cells"]]
-    worst = max(errors)
-    zvs = max(c["zvs_violation_pct"] for c in result["cells"])
-    print(f"worst steady-state error {worst:.4f} W, worst ZVS violation {zvs:.4f}%")
+    cells = result["cells"]
+    worst = max(c["steady_state_error_w"] for c in cells)
+    zvs = max(c["zvs_violation_pct"] for c in cells)
+    # the cell at fault: one that loses soft switching, if any, else the
+    # one with the largest steady-state error
+    cell = max(cells, key=lambda c: (c["zvs_violation_pct"] > 0.0, c["steady_state_error_w"]))
+    print(f"worst steady-state error {worst:.4f} W, worst ZVS violation {zvs:.4f}%; "
+          f"worst cell R {cell['r_error']:+.0%}, L {cell['l_error']:+.0%}, "
+          f"{cell['p_des_w']:.0f} W: error {cell['steady_state_error_w']:.4f} W, "
+          f"ZVS violations {cell['zvs_violation_pct']:.4f}%")
     if args.gate_error_w is not None and (worst >= args.gate_error_w or zvs > 0.0):
         print(f"gate failed against {args.gate_error_w} W / 0% ZVS")
         return EXIT_THRESHOLD

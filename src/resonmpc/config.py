@@ -10,9 +10,10 @@ rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .errors import ArgumentError
 from .harness import Scenario
@@ -61,35 +62,60 @@ class AppConfig:
     scenario: Optional[dict]  # raw section; turned into a Scenario on demand
 
 
+def _section(doc: dict, name: str) -> dict:
+    sec = doc.get(name)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ArgumentError(f"config section {name} must be a JSON object")
+    return sec
+
+
 def _build_section(section: dict, key_map: dict, cls, what: str):
+    """`cls` from a section: known keys only, each an integer for an int
+    field and a finite number within float range otherwise, and every field
+    without a default given."""
     unknown = set(section) - set(key_map)
     if unknown:
         raise ArgumentError(f"unknown {what} config keys: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    for key, value in section.items():
+        kind = types[key_map[key]]
+        ok = isinstance(value, int) if kind is int else (
+            isinstance(value, (int, float)) and abs(value) <= sys.float_info.max)  # NaN fails
+        if isinstance(value, bool) or not ok:
+            raise ArgumentError(f"{what} config key {key} must be a finite {kind.__name__}, "
+                                f"got {value!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(k for k, f in key_map.items() if f in required and k not in section)
+    if missing:
+        raise ArgumentError(f"{what} config section lacks the keys {missing}")
     return cls(**{key_map[k]: v for k, v in section.items()})
 
 
 def parse_config(doc: dict) -> AppConfig:
     """Validate a parsed JSON document and fill defaults."""
+    if not isinstance(doc, dict):
+        raise ArgumentError("config file must hold a JSON object")
     known = {"converter", "nmpc", "train", "scenario"}
     unknown = set(doc) - known
     if unknown:
         raise ArgumentError(f"unknown config sections: {sorted(unknown)}")
 
-    conv_sec = doc.get("converter", {})
+    conv_sec = _section(doc, "converter")
     conv_map = {f.name: f.name for f in fields(ConverterParams)}
     converter = _build_section(conv_sec, conv_map, ConverterParams, "converter") \
         if conv_sec else DEFAULT_CONVERTER
 
-    nmpc = _build_section(doc.get("nmpc", {}), _NMPC_KEYS, NmpcConfig, "nmpc")
+    nmpc = _build_section(_section(doc, "nmpc"), _NMPC_KEYS, NmpcConfig, "nmpc")
 
     train_map = {f.name: f.name for f in fields(TrainConfig)}
-    train = _build_section(doc.get("train", {}), train_map, TrainConfig, "train")
+    train = _build_section(_section(doc, "train"), train_map, TrainConfig, "train")
 
     scenario = doc.get("scenario")
-    if scenario is not None:
-        unknown = set(scenario) - _SCENARIO_KEYS
-        if unknown:
-            raise ArgumentError(f"unknown scenario config keys: {sorted(unknown)}")
+    unknown = set(_section(doc, "scenario")) - _SCENARIO_KEYS
+    if unknown:
+        raise ArgumentError(f"unknown scenario config keys: {sorted(unknown)}")
     return AppConfig(converter=converter, nmpc=nmpc, train=train, scenario=scenario)
 
 
@@ -101,8 +127,6 @@ def load_config(path) -> AppConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ArgumentError("config file must hold a JSON object")
     return parse_config(doc)
 
 

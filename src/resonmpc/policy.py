@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +46,9 @@ DEFAULT_INPUT_LO = (-150.0, -2000.0, 0.0)  # i_o [A], v_c [V], p_des [W]
 # steady offsets under parameter error, and the policy must stay competent
 # there (the solver saturates such setpoints toward the max-power inputs)
 DEFAULT_INPUT_HI = (150.0, 2000.0, 4000.0)
+
+CSV_COLUMNS = ("io_amps", "vc_volts", "pdes_watts", "fsw_hz", "duty", "provenance")
+PROVENANCES = ("random-state", "trajectory", "rollout", "closed-loop")
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class Dataset:
 
     x: np.ndarray  # (n, 3)
     u: np.ndarray  # (n, 2)
-    provenance: tuple  # "random-state" | "trajectory" | "rollout" | "closed-loop"
+    provenance: tuple  # one of PROVENANCES per sample
     seed: int
     discarded: int = 0
 
@@ -116,21 +120,43 @@ class Dataset:
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["io_amps", "vc_volts", "pdes_watts", "fsw_hz", "duty", "provenance"])
+            w.writerow(CSV_COLUMNS)
             for xi, ui, tag in zip(self.x, self.u, self.provenance):
                 w.writerow([repr(float(xi[0])), repr(float(xi[1])), repr(float(xi[2])),
                             repr(float(ui[0])), repr(float(ui[1])), tag])
 
     @classmethod
     def load_csv(cls, path, seed: int = 0) -> "Dataset":
-        rows = []
+        """Read a `save_csv` file; a malformed one raises ArgumentError.
+
+        Checked: every column is present, and every row has one field per
+        column, finite numbers in the numeric columns and a known provenance.
+        """
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append(row)
-        x = np.array([[float(r["io_amps"]), float(r["vc_volts"]), float(r["pdes_watts"])] for r in rows])
-        u = np.array([[float(r["fsw_hz"]), float(r["duty"])] for r in rows])
-        return cls(x=x, u=u, provenance=tuple(r["provenance"] for r in rows), seed=seed)
+            rows = list(csv.reader(fh))
+        header = rows[0] if rows else []
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise ArgumentError(f"{path} lacks the columns {missing}")
+        cols = [header.index(c) for c in CSV_COLUMNS]
+        values, tags = [], []
+        for k, row in enumerate(rows[1:], start=1):
+            if not row:
+                continue  # a blank line
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields for {len(header)} columns")
+                values.append([float(row[i]) for i in cols[:-1]])
+                if row[cols[-1]] not in PROVENANCES:
+                    raise ValueError(f"unknown provenance {row[cols[-1]]!r}")
+            except ValueError as exc:
+                raise ArgumentError(f"{path}, data row {k}: {exc}") from None
+            tags.append(row[cols[-1]])
+        a = np.array(values, dtype=float).reshape(-1, len(cols) - 1)
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if bad.size:
+            raise ArgumentError(f"{path}, data row {bad[0] + 1}: a value is not finite")
+        return cls(x=a[:, :3].copy(), u=a[:, 3:].copy(), provenance=tuple(tags), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -148,6 +174,8 @@ class TrainConfig:
     huber_delta: float = 0.0
 
     def __post_init__(self):
+        if not (_is_int(self.epochs) and _is_int(self.batch_size)):
+            raise ArgumentError("epochs and batch_size must be integers")
         if min(self.epochs, self.batch_size) < 1 or self.step_size <= 0:
             raise ArgumentError("epochs, batch_size and step_size must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
@@ -192,10 +220,12 @@ def _forward_raw(net: PolicyNetwork, xn: np.ndarray):
     """Hidden activations and raw (pre-clamp) outputs for normalized inputs."""
     acts = [xn]
     a = xn
-    n_layers = len(net.weights)
+    last = len(net.weights) - 1
     for l, (w, b) in enumerate(net.layers_f64):
-        z = a @ w.T + b
-        a = z if l == n_layers - 1 else np.tanh(z)
+        a = a @ w.T  # a fresh array: bias and activation go in place
+        a += b
+        if l < last:
+            np.tanh(a, out=a)
         acts.append(a)
     return acts
 
@@ -256,7 +286,7 @@ def backprop_gradients(
     g_b = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
         g_w[l] = delta.T @ acts[l]
-        g_b[l] = delta.sum(axis=0)
+        g_b[l] = np.add.reduce(delta, axis=0)
         if l > 0:
             # tanh'(z) through the activation value
             delta = (delta @ net.layers_f64[l][0]) * (1.0 - acts[l] * acts[l])
@@ -283,42 +313,41 @@ def train(data: Dataset, cfg: TrainConfig, net: Optional[PolicyNetwork] = None):
     x_tr, u_tr = data.x[tr_idx], data.u[tr_idx]
     x_val, u_val = data.x[val_idx], data.u[val_idx]
 
-    # train in 64-bit; stored networks are 32-bit
-    w = [np.asarray(wl, dtype=float).copy() for wl in net.weights]
-    b = [np.asarray(bl, dtype=float).copy() for bl in net.biases]
-    m_w = [np.zeros_like(wl) for wl in w]
-    v_w = [np.zeros_like(wl) for wl in w]
-    m_b = [np.zeros_like(bl) for bl in b]
-    v_b = [np.zeros_like(bl) for bl in b]
+    # train in 64-bit on one flat vector holding each layer's weights and
+    # biases in turn; the working network's arrays are views into it, so one
+    # Adam step updates every layer; stored networks are 32-bit
+    params = [q for layer in zip(net.weights, net.biases) for q in layer]
+    splits = np.cumsum([q.size for q in params])[:-1]
 
-    def as_net(wl, bl):
-        return replace(
-            net,
-            weights=tuple(np.asarray(q, dtype=np.float32) for q in wl),
-            biases=tuple(np.asarray(q, dtype=np.float32) for q in bl),
-        )
+    def flatten(wl, bl):
+        return np.concatenate([q.ravel() for layer in zip(wl, bl) for q in layer])
 
+    def unflatten(flat, dtype):
+        parts = [p.reshape(q.shape).astype(dtype, copy=False)
+                 for p, q in zip(np.split(flat, splits), params)]
+        return replace(net, weights=tuple(parts[0::2]), biases=tuple(parts[1::2]))
+
+    theta = flatten(net.weights, net.biases).astype(float)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    cur = unflatten(theta, float)
     history = {"train": [], "val": []}
-    best = (np.inf, [q.copy() for q in w], [q.copy() for q in b])
+    best = (np.inf, theta.copy())
     t = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(x_tr.shape[0])
-        cur = replace(net, weights=tuple(w), biases=tuple(b))
         for lo in range(0, order.size, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             g_w, g_b = backprop_gradients(cur, x_tr[idx], u_tr[idx], cfg.huber_delta)
+            g = flatten(g_w, g_b)
             t += 1
             bc1 = 1.0 - cfg.beta1**t
             bc2 = 1.0 - cfg.beta2**t
-            for l in range(len(w)):
-                for p, g, m, v in ((w[l], g_w[l], m_w[l], v_w[l]),
-                                   (b[l], g_b[l], m_b[l], v_b[l])):
-                    m *= cfg.beta1
-                    m += (1.0 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1.0 - cfg.beta2) * g * g
-                    p -= cfg.step_size * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        cur = replace(net, weights=tuple(w), biases=tuple(b))
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            theta -= cfg.step_size * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         tr_loss = loss_value(cur, x_tr, u_tr, cfg.huber_delta)
         if not np.isfinite(tr_loss):
             raise TrainingDivergenceError(epoch)
@@ -327,10 +356,10 @@ def train(data: Dataset, cfg: TrainConfig, net: Optional[PolicyNetwork] = None):
             val_loss = loss_value(cur, x_val, u_val, cfg.huber_delta)
             history["val"].append(val_loss)
             if val_loss < best[0]:
-                best = (val_loss, [q.copy() for q in w], [q.copy() for q in b])
+                best = (val_loss, theta.copy())
         else:
-            best = (tr_loss, w, b)
-    return as_net(best[1], best[2]), history
+            best = (tr_loss, theta)
+    return unflatten(best[1], np.float32), history
 
 
 def _label_draws(
@@ -501,7 +530,7 @@ class _FileChecks:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def load_network(path) -> PolicyNetwork:

@@ -4,10 +4,15 @@ files and exit codes, exercised through main() in-process.
 
 import csv
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resonmpc.cli import main
+from resonmpc.config import AppConfig, parse_config
+from resonmpc.errors import ArgumentError
 from resonmpc.harness import TRACE_COLUMNS
 from resonmpc.policy import Dataset, load_network
 
@@ -54,6 +59,63 @@ class TestArgumentHandling:
         assert main(["solve", "--config", cfg, "--io", "0", "--vc", "0",
                      "--pdes", "1000"]) == 1
         assert "unknown" in capsys.readouterr().err
+
+
+# every section, with its known keys and one unknown one
+_SECTION_KEYS = {
+    "converter": ["v_s", "l_r", "r_l", "c_r"],
+    "nmpc": ["n", "alpha", "f_min_hz", "f_max_hz", "d_min", "d_max", "max_iterations"],
+    "train": ["epochs", "batch_size", "step_size", "validation_fraction", "seed",
+              "huber_delta"],
+    "scenario": ["schedule", "total_cycles", "controller", "correction"],
+}
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from([2, 10, 1e-6, 0.1, 64, 2.5, 230.0, 3e4, 1e5, 0.5]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                            max_leaves=6)
+
+
+@st.composite
+def _config_docs(draw):
+    doc = {}
+    for name in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS) + ["extra"]),
+                              unique=True)):
+        keys = _SECTION_KEYS.get(name, []) + ["bogus"]
+        doc[name] = draw(_JSON_VALUES | st.dictionaries(st.sampled_from(keys), _JSON_VALUES,
+                                                        max_size=len(keys)))
+    return doc
+
+
+class TestConfigParsing:
+    @pytest.mark.parametrize("doc", [
+        [1, 2], {"nmpc": 5}, {"train": [1, 2]}, {"scenario": "run"}, {"converter": True},
+        {"converter": {"v_s": 230}},
+        {"train": {"epochs": 2.5}}, {"train": {"batch_size": True}},
+        {"nmpc": {"alpha": "5e-8"}}, {"nmpc": {"n": 10.0}},
+        {"converter": {"v_s": float("nan"), "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6}},
+        {"converter": {"v_s": 10**400, "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6}},
+        {"train": {"huber_delta": float("inf")}},
+    ])
+    def test_rejected(self, doc):
+        with pytest.raises(ArgumentError):
+            parse_config(doc)
+
+    def test_full_converter_section_accepted(self):
+        doc = {"converter": {"v_s": 200, "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6},
+               "train": {"epochs": 3, "huber_delta": 0}}
+        cfg = parse_config(doc)
+        assert (cfg.converter.v_s, cfg.train.epochs) == (200, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_config_docs())
+    def test_random_documents(self, doc):
+        # a config document either parses or raises ArgumentError, nothing else
+        try:
+            assert isinstance(parse_config(doc), AppConfig)
+        except ArgumentError:
+            pass
 
 
 class TestSolve:
@@ -163,6 +225,24 @@ class TestBenchAndGrid:
                    str(artifact_paths["policy"]), "--n-runs", "1",
                    "--gate-ratio", "1.25"])
         assert rc == 1
+
+    def test_grid_names_its_worst_cell(self, tmp_path, capsys, artifact_paths):
+        out = tmp_path / "grid.json"
+        assert main(["grid", "--qnet", str(artifact_paths["policy_q16"]),
+                     "--out", str(out)]) == 0
+        cells = json.loads(out.read_text())["cells"]
+        worst = max(cells, key=lambda c: (c["zvs_violation_pct"] > 0.0,
+                                          c["steady_state_error_w"]))
+        line = capsys.readouterr().out.strip()
+        m = re.fullmatch(r"worst steady-state error (\S+) W, worst ZVS violation (\S+)%; "
+                         r"worst cell R (\S+)%, L (\S+)%, (\d+) W: error (\S+) W, "
+                         r"ZVS violations (\S+)%", line)
+        assert m, line
+        assert [float(g) for g in m.groups()] == pytest.approx([
+            max(c["steady_state_error_w"] for c in cells),
+            max(c["zvs_violation_pct"] for c in cells),
+            100 * worst["r_error"], 100 * worst["l_error"], worst["p_des_w"],
+            worst["steady_state_error_w"], worst["zvs_violation_pct"]], abs=5e-4)
 
     def test_pi_tune_impossible_setpoint_is_numeric_failure(self, capsys):
         # no gain reaches a power beyond the converter's capability
