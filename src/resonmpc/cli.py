@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import harness, policy, quant
-from .config import AppConfig, build_scenario, load_config, parse_config
+from .config import AppConfig, load_config, parse_config
 from .errors import ArgumentError, NumericError, ResonMpcError
 from .nmpc import solve as nmpc_solve
 from .plant import PlantState
@@ -51,7 +52,9 @@ def _sampling_box(n: int, seed: int) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_app_config(args)
-    sc = build_scenario(cfg)
+    sc = cfg.scenario
+    if sc is None:
+        raise ArgumentError("config has no scenario section")
     net = policy.load_network(args.net) if args.net else None
     qnet = quant.load_quantized(args.qnet) if args.qnet else None
     records, metrics = harness.run_closed_loop(
@@ -59,13 +62,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.trace_out:
         harness.write_trace_csv(records, args.trace_out)
-    summary = {
-        "controller": sc.controller,
-        "avg_tracking_error_w": metrics.avg_tracking_error_w,
-        "zvs_violation_pct": metrics.zvs_violation_pct,
-        "steady_state_errors_w": list(metrics.steady_state_errors_w),
-        "n_cycles": metrics.n_cycles,
-    }
+    summary = {"controller": sc.controller, **asdict(metrics)}
     if args.summary_out:
         harness.write_summary_json(summary, args.summary_out)
     print(json.dumps(summary, indent=2))
@@ -76,7 +73,6 @@ def _cmd_solve(args) -> int:
     cfg = _load_app_config(args)
     nmpc_cfg = cfg.nmpc
     if args.f_min_khz is not None or args.f_max_khz is not None:
-        from dataclasses import replace
         updates = {}
         if args.f_min_khz is not None:
             updates["f_min"] = args.f_min_khz * 1e3

@@ -3,7 +3,8 @@
 A config file holds up to four sections: converter (electrical
 parameters), nmpc (horizon, bounds, solver settings, frequencies in Hz),
 train (optimizer settings) and scenario (closed-loop run description).
-Missing sections fall back to the built-in defaults; unknown keys are
+Each section's keys and types are those of its dataclass, so missing keys
+take the dataclass defaults; unknown keys and values of the wrong type are
 rejected so typos fail loudly.
 """
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .errors import ArgumentError
-from .harness import Scenario
+from .harness import DEFAULT_WARMUP_INPUT, Scenario
 from .nmpc import NmpcConfig
 from .plant import ControlInput, ConverterParams
 from .policy import TrainConfig
@@ -26,7 +27,6 @@ __all__ = [
     "DEFAULT_CONVERTER",
     "load_config",
     "parse_config",
-    "build_scenario",
 ]
 
 DEFAULT_CONVERTER = ConverterParams(v_s=230.0, l_r=19e-6, r_l=2.9, c_r=1440e-9)
@@ -46,12 +46,11 @@ _NMPC_KEYS = {
     "max_iterations": "max_iterations",
 }
 
-_SCENARIO_KEYS = {
-    "schedule", "total_cycles", "controller", "warmup_cycles",
-    "warmup_fsw_hz", "warmup_duty", "correction", "correction_gain",
-    "correction_start", "correction_delay", "correction_cmd_max",
-    "r_error", "l_error",
-}
+# scenario keys that are not Scenario fields: the warm-up input, and the true
+# plant's relative R and L error against the model (the converter section)
+_SCENARIO_EXTRA = {"warmup_fsw_hz": float, "warmup_duty": float, "r_error": float,
+                   "l_error": float}
+_SCENARIO_DERIVED = {"plant_params", "model_params", "warmup_input"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class AppConfig:
     converter: ConverterParams
     nmpc: NmpcConfig
     train: TrainConfig
-    scenario: Optional[dict]  # raw section; turned into a Scenario on demand
+    scenario: Optional[Scenario]
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -71,30 +70,61 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _build_section(section: dict, key_map: dict, cls, what: str):
-    """`cls` from a section: known keys only, each an integer for an int
-    field and a finite number within float range otherwise, and every field
-    without a default given."""
-    unknown = set(section) - set(key_map)
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", tuple: "a list of [start cycle, watts] pairs"}
+
+
+def _value(kind, value, what: str):
+    """`value` as a config value of a `kind` field (tuple is the schedule),
+    or ArgumentError naming `what`."""
+    if kind is tuple:
+        if isinstance(value, (list, tuple)) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in value):
+            return tuple((_value(int, c, f"{what} start cycle"), _value(float, p, f"{what} watts"))
+                         for c, p in value)
+    elif kind is float:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):  # NaN fails
+            return float(value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ArgumentError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _build_section(section: dict, cls, what: str, key_map=None, extra=None) -> dict:
+    """Keyword values for `cls` from a section keyed by field name (or by
+    `key_map`'s keys): known keys only, each value of its field's type, and
+    every field without a default given.  `extra` maps keys that are not
+    fields to their type; their values are kept under the key."""
+    key_map = key_map or {f.name: f.name for f in fields(cls)}
+    types = get_type_hints(cls)
+    kinds = {key: types[name] for key, name in key_map.items()} | (extra or {})
+    unknown = set(section) - set(kinds)
     if unknown:
         raise ArgumentError(f"unknown {what} config keys: {sorted(unknown)}")
-    types = get_type_hints(cls)
-    for key, value in section.items():
-        kind = types[key_map[key]]
-        ok = isinstance(value, int) if kind is int else (
-            isinstance(value, (int, float)) and abs(value) <= sys.float_info.max)  # NaN fails
-        if isinstance(value, bool) or not ok:
-            raise ArgumentError(f"{what} config key {key} must be a finite {kind.__name__}, "
-                                f"got {value!r}")
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
     missing = sorted(k for k, f in key_map.items() if f in required and k not in section)
     if missing:
         raise ArgumentError(f"{what} config section lacks the keys {missing}")
-    return cls(**{key_map[k]: v for k, v in section.items()})
+    return {key_map.get(key, key): _value(kinds[key], value, f"{what} config key {key}")
+            for key, value in section.items()}
+
+
+def _build_scenario(section: dict, model: ConverterParams) -> Scenario:
+    """The scenario section as a Scenario on a plant with the section's R/L
+    error against the model."""
+    keys = {f.name: f.name for f in fields(Scenario) if f.name not in _SCENARIO_DERIVED}
+    values = _build_section(section, Scenario, "scenario", keys, _SCENARIO_EXTRA)
+    r_error, l_error = values.pop("r_error", 0.0), values.pop("l_error", 0.0)
+    warmup = ControlInput(values.pop("warmup_fsw_hz", DEFAULT_WARMUP_INPUT.f_sw),
+                          values.pop("warmup_duty", DEFAULT_WARMUP_INPUT.duty))
+    plant = replace(model, l_r=model.l_r * (1.0 + l_error), r_l=model.r_l * (1.0 + r_error))
+    return Scenario(plant_params=plant, model_params=model, warmup_input=warmup, **values)
 
 
 def parse_config(doc: dict) -> AppConfig:
-    """Validate a parsed JSON document and fill defaults."""
+    """Validate a parsed JSON document and fill defaults; an absent or empty
+    scenario section gives no Scenario."""
     if not isinstance(doc, dict):
         raise ArgumentError("config file must hold a JSON object")
     known = {"converter", "nmpc", "train", "scenario"}
@@ -103,19 +133,12 @@ def parse_config(doc: dict) -> AppConfig:
         raise ArgumentError(f"unknown config sections: {sorted(unknown)}")
 
     conv_sec = _section(doc, "converter")
-    conv_map = {f.name: f.name for f in fields(ConverterParams)}
-    converter = _build_section(conv_sec, conv_map, ConverterParams, "converter") \
+    converter = ConverterParams(**_build_section(conv_sec, ConverterParams, "converter")) \
         if conv_sec else DEFAULT_CONVERTER
-
-    nmpc = _build_section(_section(doc, "nmpc"), _NMPC_KEYS, NmpcConfig, "nmpc")
-
-    train_map = {f.name: f.name for f in fields(TrainConfig)}
-    train = _build_section(_section(doc, "train"), train_map, TrainConfig, "train")
-
-    scenario = doc.get("scenario")
-    unknown = set(_section(doc, "scenario")) - _SCENARIO_KEYS
-    if unknown:
-        raise ArgumentError(f"unknown scenario config keys: {sorted(unknown)}")
+    nmpc = NmpcConfig(**_build_section(_section(doc, "nmpc"), NmpcConfig, "nmpc", _NMPC_KEYS))
+    train = TrainConfig(**_build_section(_section(doc, "train"), TrainConfig, "train"))
+    scen_sec = _section(doc, "scenario")
+    scenario = _build_scenario(scen_sec, converter) if scen_sec else None
     return AppConfig(converter=converter, nmpc=nmpc, train=train, scenario=scenario)
 
 
@@ -128,41 +151,3 @@ def load_config(path) -> AppConfig:
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(doc)
-
-
-def build_scenario(cfg: AppConfig) -> Scenario:
-    """Turn the raw scenario section into a validated Scenario.
-
-    r_error / l_error perturb the true plant relative to the (nominal)
-    model parameters the controller uses.
-    """
-    sec = cfg.scenario
-    if sec is None:
-        raise ArgumentError("config has no scenario section")
-    if "schedule" not in sec or "total_cycles" not in sec or "controller" not in sec:
-        raise ArgumentError("scenario needs schedule, total_cycles and controller")
-    schedule = tuple((int(c), float(p)) for c, p in sec["schedule"])
-    model = cfg.converter
-    plant = ConverterParams(
-        v_s=model.v_s,
-        l_r=model.l_r * (1.0 + float(sec.get("l_error", 0.0))),
-        r_l=model.r_l * (1.0 + float(sec.get("r_error", 0.0))),
-        c_r=model.c_r,
-    )
-    warmup_input = ControlInput(
-        float(sec.get("warmup_fsw_hz", 100e3)), float(sec.get("warmup_duty", 0.5))
-    )
-    return Scenario(
-        schedule=schedule,
-        total_cycles=int(sec["total_cycles"]),
-        plant_params=plant,
-        model_params=model,
-        controller=sec["controller"],
-        warmup_cycles=int(sec.get("warmup_cycles", 5)),
-        warmup_input=warmup_input,
-        correction=bool(sec.get("correction", False)),
-        correction_gain=float(sec.get("correction_gain", 0.8)),
-        correction_start=int(sec.get("correction_start", 0)),
-        correction_delay=int(sec.get("correction_delay", 5)),
-        correction_cmd_max=float(sec.get("correction_cmd_max", 4000.0)),
-    )

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -52,22 +52,6 @@ DEFAULT_PI_FIXED_FREQ = 31e3
 # velocity-form PI gains found by pi_tune on the nominal plant; see pi_tune
 DEFAULT_PI_FREQ_GAINS = (1.0, 3.0)  # Hz per W
 DEFAULT_PI_DUTY_GAINS = (2e-6, 6e-6)  # duty per W
-
-TRACE_COLUMNS = (
-    "cycle",
-    "t_start_s",
-    "fsw_hz",
-    "duty",
-    "io_start_a",
-    "vc_start_v",
-    "p_avg_w",
-    "p_des_w",
-    "p_des_corrected_w",
-    "zvs_on_ok",
-    "zvs_off_ok",
-    "solver_status",
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -122,7 +106,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Per-cycle log row; field names match the trace CSV columns."""
+    """Per-cycle log row; its fields are the trace CSV's columns, in order."""
 
     cycle: int
     t_start_s: float
@@ -136,6 +120,9 @@ class CycleRecord:
     zvs_on_ok: bool
     zvs_off_ok: bool
     solver_status: str
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(CycleRecord))
 
 
 @dataclass(frozen=True)
@@ -360,25 +347,25 @@ def _segment_steady_error(seg):
 
 
 def _benchmark_run(args):
-    """One paired benchmark run: same schedule and plant for every controller."""
-    (run_idx, controllers, params, nmpc_config, net, qnet, param_error,
-     seed, n_segments, cycles_per_segment, warmup) = args
+    """One paired benchmark run: same schedule and plant for every controller.
+
+    After the warm-up come three 5-cycle segments, each at a setpoint drawn
+    uniformly from [500, 3000] W.
+    """
+    run_idx, controllers, params, nmpc_config, net, qnet, param_error, seed = args
     rng = np.random.default_rng(seed + run_idx)
-    setpoints = rng.uniform(500.0, 3000.0, n_segments)
+    setpoints = rng.uniform(500.0, 3000.0, 3)
     plant = perturbed_params(params, rng, param_error)
-    schedule = tuple(
-        (warmup + k * cycles_per_segment, float(p)) for k, p in enumerate(setpoints)
-    )
-    total = warmup + n_segments * cycles_per_segment
+    warmup = Scenario.warmup_cycles
+    schedule = tuple((warmup + 5 * k, float(p)) for k, p in enumerate(setpoints))
     out = {}
     for kind in controllers:
         sc = Scenario(
             schedule=schedule,
-            total_cycles=total,
+            total_cycles=warmup + 5 * len(setpoints),
             plant_params=plant,
             model_params=params,
             controller=kind,
-            warmup_cycles=warmup,
         )
         _, m = run_closed_loop(sc, nmpc_config=nmpc_config, net=net, qnet=qnet)
         out[kind] = m
@@ -394,9 +381,6 @@ def run_benchmark(
     qnet: Optional[QuantizedNetwork] = None,
     param_error: float = 0.0,
     seed: int = 0,
-    n_segments: int = 3,
-    cycles_per_segment: int = 5,
-    warmup: int = 5,
     n_jobs: int = 1,
 ) -> dict:
     """Random-setpoint campaign; identical scenarios across controllers.
@@ -409,11 +393,8 @@ def run_benchmark(
         if kind not in CONTROLLER_KINDS:
             raise ArgumentError(f"unknown controller kind {kind!r}")
     cfg = nmpc_config or NmpcConfig()
-    jobs = [
-        (r, tuple(controllers), params, cfg, net, qnet, param_error,
-         seed, n_segments, cycles_per_segment, warmup)
-        for r in range(n_runs)
-    ]
+    jobs = [(r, tuple(controllers), params, cfg, net, qnet, param_error, seed)
+            for r in range(n_runs)]
     per_run = [None] * n_runs
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -446,16 +427,16 @@ def run_param_grid(
     r_errors=(-0.15, 0.0, 0.15),
     l_errors=(-0.15, 0.0, 0.15),
     correction: bool = True,
-    correction_gain: float = 0.8,
-    cycles: int = 100,
-    warmup: int = 5,
 ) -> dict:
     """Steady-state tracking across a parameter-error grid, quantized policy.
 
-    Returns {"cells": [...]} with one entry per (r_error, l_error, setpoint)
-    combination carrying the steady-state error and ZVS violation rate.
+    Each cell runs 100 cycles after the warm-up, at the scenario's default
+    correction gain.  Returns {"cells": [...]} with one entry per
+    (r_error, l_error, setpoint) combination carrying the steady-state error
+    and ZVS violation rate.
     """
     cfg = nmpc_config or NmpcConfig()
+    warmup = Scenario.warmup_cycles
     cells = []
     for r_err in r_errors:
         for l_err in l_errors:
@@ -465,13 +446,11 @@ def run_param_grid(
             for p_des in setpoints:
                 sc = Scenario(
                     schedule=((warmup, float(p_des)),),
-                    total_cycles=warmup + cycles,
+                    total_cycles=warmup + 100,
                     plant_params=plant,
                     model_params=params,
                     controller="dnn-quant",
-                    warmup_cycles=warmup,
                     correction=correction,
-                    correction_gain=correction_gain,
                 )
                 _, m = run_closed_loop(sc, nmpc_config=cfg, qnet=qnet)
                 cells.append({
@@ -481,7 +460,7 @@ def run_param_grid(
                     "steady_state_error_w": m.steady_state_errors_w[-1],
                     "zvs_violation_pct": m.zvs_violation_pct,
                 })
-    return {"correction": correction, "correction_gain": correction_gain,
+    return {"correction": correction, "correction_gain": Scenario.correction_gain,
             "cells": cells}
 
 
@@ -580,25 +559,16 @@ def pi_tune(
 
 
 def write_trace_csv(records, path):
-    """Per-cycle trace in the documented column order; flags as 0/1."""
+    """Per-cycle trace, one column per CycleRecord field in declaration
+    order: flags as 0/1, floats as repr, the rest as they are."""
+    kinds = get_type_hints(CycleRecord)
+    fmt = {bool: int, float: lambda v: repr(float(v))}
+    columns = [(name, fmt.get(kinds[name], lambda v: v)) for name in TRACE_COLUMNS]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
         for r in records:
-            w.writerow([
-                r.cycle,
-                repr(float(r.t_start_s)),
-                repr(float(r.fsw_hz)),
-                repr(float(r.duty)),
-                repr(float(r.io_start_a)),
-                repr(float(r.vc_start_v)),
-                repr(float(r.p_avg_w)),
-                repr(float(r.p_des_w)),
-                repr(float(r.p_des_corrected_w)),
-                int(r.zvs_on_ok),
-                int(r.zvs_off_ok),
-                r.solver_status,
-            ])
+            w.writerow([f(getattr(r, name)) for name, f in columns])
 
 
 def write_summary_json(summary: dict, path):

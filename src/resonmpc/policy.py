@@ -182,23 +182,18 @@ class TrainConfig:
             raise ArgumentError("validation_fraction must lie in [0, 0.5]")
         if self.huber_delta < 0.0:
             raise ArgumentError("huber_delta must be non-negative")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def init_network(
     seed: int = 0,
     layer_sizes=DEFAULT_LAYER_SIZES,
-    input_lo=DEFAULT_INPUT_LO,
-    input_hi=DEFAULT_INPUT_HI,
-    output_lo=None,
-    output_hi=None,
     config: Optional[NmpcConfig] = None,
 ) -> PolicyNetwork:
-    """Glorot-uniform initialized network; output box defaults to the NMPC bounds."""
+    """Glorot-uniform initialized network on the default sampling box; the
+    output box is the NMPC input bounds."""
     cfg = config or NmpcConfig()
-    if output_lo is None:
-        output_lo = (cfg.f_min, cfg.d_min)
-    if output_hi is None:
-        output_hi = (cfg.f_max, cfg.d_max)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -209,10 +204,10 @@ def init_network(
         weights=tuple(weights),
         biases=tuple(biases),
         activation="tanh",
-        input_lo=np.asarray(input_lo, dtype=float),
-        input_hi=np.asarray(input_hi, dtype=float),
-        output_lo=np.asarray(output_lo, dtype=float),
-        output_hi=np.asarray(output_hi, dtype=float),
+        input_lo=np.asarray(DEFAULT_INPUT_LO, dtype=float),
+        input_hi=np.asarray(DEFAULT_INPUT_HI, dtype=float),
+        output_lo=np.asarray((cfg.f_min, cfg.d_min), dtype=float),
+        output_hi=np.asarray((cfg.f_max, cfg.d_max), dtype=float),
     )
 
 
@@ -437,16 +432,15 @@ def generate_dataset_random(
     config: NmpcConfig,
     params: ConverterParams,
     seed: int = 0,
-    input_lo=DEFAULT_INPUT_LO,
-    input_hi=DEFAULT_INPUT_HI,
 ) -> Dataset:
-    """Uniformly sampled states/setpoints labeled by solving the horizon problem.
+    """States/setpoints drawn uniformly from the sampling box, labeled by
+    solving the horizon problem.
 
     The labelling loop with one cycle per draw: infeasible draws are
     discarded; sampling stops after a 10*n draw budget.
     """
-    return _label_draws(n, 1, config, params, seed, input_lo, input_hi, 0.0, None,
-                        "random-state")
+    return _label_draws(n, 1, config, params, seed, DEFAULT_INPUT_LO, DEFAULT_INPUT_HI,
+                        0.0, None, "random-state")
 
 
 def generate_dataset_trajectories(

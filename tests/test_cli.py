@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonmpc.cli import main
-from resonmpc.config import AppConfig, parse_config
+from resonmpc.config import DEFAULT_CONVERTER, AppConfig, parse_config
 from resonmpc.errors import ArgumentError
-from resonmpc.harness import TRACE_COLUMNS
+from resonmpc.harness import TRACE_COLUMNS, Scenario
+from resonmpc.plant import ControlInput, ConverterParams
 from resonmpc.policy import Dataset, load_network
 
 
@@ -67,11 +68,15 @@ _SECTION_KEYS = {
     "nmpc": ["n", "alpha", "f_min_hz", "f_max_hz", "d_min", "d_max", "max_iterations"],
     "train": ["epochs", "batch_size", "step_size", "validation_fraction", "seed",
               "huber_delta"],
-    "scenario": ["schedule", "total_cycles", "controller", "correction"],
+    "scenario": ["schedule", "total_cycles", "controller", "warmup_cycles", "warmup_fsw_hz",
+                 "warmup_duty", "correction", "correction_gain", "correction_start",
+                 "correction_delay", "correction_interval", "correction_cmd_max", "r_error",
+                 "l_error"],
 }
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                  | st.floats(allow_nan=True, allow_infinity=True)
-                 | st.sampled_from([2, 10, 1e-6, 0.1, 64, 2.5, 230.0, 3e4, 1e5, 0.5]))
+                 | st.sampled_from([2, 10, 1e-6, 0.1, 64, 2.5, 230.0, 3e4, 1e5, 0.5, -1.0,
+                                    "dnn", "pi-freq", [[2, 2.5]], [[0, 1e3], [5, 2e3]]]))
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
                             | st.dictionaries(st.text(max_size=3), inner, max_size=3),
                             max_leaves=6)
@@ -88,6 +93,22 @@ def _config_docs(draw):
     return doc
 
 
+def _scenario(**changes):
+    doc = {"schedule": [[5, 2000.0]], "total_cycles": 20, "controller": "dnn"}
+    doc.update(changes)
+    return doc
+
+
+# each was a traceback or a silent coercion before the section was checked
+_MALFORMED_SCENARIO_VALUES = [
+    {"schedule": 5}, {"schedule": [[1, "x"]]}, {"total_cycles": 40.5},
+    {"correction": "false"}, {"schedule": [[5.7, 2000]]}, {"correction_gain": True},
+    {"schedule": [[5, 2000.0, 1]]}, {"schedule": [5, 2000.0]}, {"controller": 3},
+    {"schedule": [[5, float("nan")]]}, {"correction_interval": 0}, {"warmup_duty": 1.0},
+    {"l_error": -1.0}, {"r_error": -1.5}, {"schedule": []},
+]
+
+
 class TestConfigParsing:
     @pytest.mark.parametrize("doc", [
         [1, 2], {"nmpc": 5}, {"train": [1, 2]}, {"scenario": "run"}, {"converter": True},
@@ -97,10 +118,50 @@ class TestConfigParsing:
         {"converter": {"v_s": float("nan"), "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6}},
         {"converter": {"v_s": 10**400, "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6}},
         {"train": {"huber_delta": float("inf")}},
-    ])
+        {"train": {"seed": -1}}, {"train": {"seed": 1.5}},
+        {"scenario": {"total_cycles": 20, "controller": "dnn"}},
+    ] + [{"scenario": _scenario(**bad)} for bad in _MALFORMED_SCENARIO_VALUES])
     def test_rejected(self, doc):
         with pytest.raises(ArgumentError):
             parse_config(doc)
+
+    def test_readme_scenario(self):
+        sc = parse_config({"scenario": {"schedule": [[5, 2500.0]], "total_cycles": 40,
+                                        "controller": "dnn-quant", "correction": True,
+                                        "r_error": 0.15}}).scenario
+        model = ConverterParams(v_s=230.0, l_r=19e-6, r_l=2.9, c_r=1440e-9)
+        assert sc == Scenario(
+            schedule=((5, 2500.0),), total_cycles=40,
+            plant_params=ConverterParams(v_s=230.0, l_r=19e-6, r_l=2.9 * (1.0 + 0.15),
+                                         c_r=1440e-9),
+            model_params=model, controller="dnn-quant", warmup_cycles=5,
+            warmup_input=ControlInput(100e3, 0.5), correction=True, correction_gain=0.8,
+            correction_start=0, correction_delay=5, correction_interval=4,
+            correction_cmd_max=4000.0)
+
+    def test_every_scenario_key_read(self):
+        doc = {"converter": {"v_s": 200, "l_r": 2e-5, "r_l": 3, "c_r": 1.5e-6},
+               "scenario": {"schedule": [[3, 1000], [20, 3000.0]], "total_cycles": 50,
+                            "controller": "pi-freq", "warmup_cycles": 3,
+                            "warmup_fsw_hz": 90000, "warmup_duty": 0.4, "correction": False,
+                            "correction_gain": 0.5, "correction_start": 10,
+                            "correction_delay": 4, "correction_interval": 6,
+                            "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
+        cfg = parse_config(doc)
+        assert cfg.scenario == Scenario(
+            schedule=((3, 1000.0), (20, 3000.0)), total_cycles=50,
+            plant_params=ConverterParams(v_s=200.0, l_r=2e-5 * (1.0 + 0.2), r_l=3.0 * (1.0 - 0.1),
+                                         c_r=1.5e-6),
+            model_params=cfg.converter, controller="pi-freq", warmup_cycles=3,
+            warmup_input=ControlInput(90e3, 0.4), correction=False, correction_gain=0.5,
+            correction_start=10, correction_delay=4, correction_interval=6,
+            correction_cmd_max=3500.0)
+        assert all(type(p) is float for _, p in cfg.scenario.schedule)
+
+    @pytest.mark.parametrize("doc", [{}, {"scenario": None}, {"scenario": {}}])
+    def test_no_scenario(self, doc):
+        cfg = parse_config(doc)
+        assert cfg.scenario is None and cfg.converter == DEFAULT_CONVERTER
 
     def test_full_converter_section_accepted(self):
         doc = {"converter": {"v_s": 200, "l_r": 19e-6, "r_l": 2.9, "c_r": 1.44e-6},
@@ -114,6 +175,21 @@ class TestConfigParsing:
         # a config document either parses or raises ArgumentError, nothing else
         try:
             assert isinstance(parse_config(doc), AppConfig)
+        except ArgumentError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(_SECTION_KEYS["scenario"] + ["bogus"]), value=_JSON_VALUES,
+           drop=st.booleans())
+    def test_one_scenario_key_changed(self, key, value, drop):
+        # a valid section with one key dropped or set to any JSON value
+        section = _scenario(controller="pi-freq", correction=True)
+        if drop:
+            section.pop(key, None)
+        else:
+            section[key] = value
+        try:
+            assert isinstance(parse_config({"scenario": section}).scenario, Scenario)
         except ArgumentError:
             pass
 
@@ -163,6 +239,18 @@ class TestSimulate:
     def test_pi_freq_needs_no_network(self, tmp_path, capsys):
         cfg = scenario_config(tmp_path, controller="pi-freq")
         assert main(["simulate", "--config", cfg]) == 0
+
+    def test_config_without_scenario(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"epochs": 3}})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "no scenario section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", _MALFORMED_SCENARIO_VALUES)
+    def test_malformed_scenario_is_argument_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, {"scenario": {**_scenario(controller="pi-freq"), **bad}})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDataTrainQuantize:

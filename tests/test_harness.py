@@ -3,7 +3,9 @@ controller dispatch, setpoint correction and trace output.
 """
 
 import csv
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +216,12 @@ class TestBenchmark:
         with pytest.raises(ArgumentError):
             run_benchmark(1, ("bang-bang",), params)
 
+    def test_process_pool_matches_serial(self, params, trained_net, trained_qnet):
+        runs = [run_benchmark(2, ("dnn", "dnn-quant"), params, net=trained_net,
+                              qnet=trained_qnet, param_error=0.15, seed=21, n_jobs=jobs)
+                for jobs in (1, 2)]
+        assert runs[0] == runs[1]
+
 
 class TestParamGrid:
     def test_single_cell_shape(self, params, trained_qnet):
@@ -221,7 +229,7 @@ class TestParamGrid:
             params, trained_qnet, setpoints=(2000.0,), r_errors=(0.15,),
             l_errors=(-0.15,),
         )
-        assert out["correction"] is True
+        assert out["correction"] is True and out["correction_gain"] == 0.8
         assert len(out["cells"]) == 1
         cell = out["cells"][0]
         assert cell["r_error"] == 0.15 and cell["l_error"] == -0.15
@@ -258,7 +266,35 @@ class TestPiTune:
             pi_tune("pid", params)
 
 
+# sha256 of write_trace_csv's bytes for one run of each controller kind,
+# recorded with the hand-written column list the derived one replaced
+_TRACE_SHA256 = {
+    "exact-nmpc": "b8e190b392202ec9f70b64347293fc61e45c66d66a13e71b6a2949987c6afaee",
+    "dnn": "9838c4ea821cd3be552f88efbba6aa03970388ac8781fc1bbeddd7037d96fbb2",
+    "dnn-quant": "321f67ef1b150c33d8a1ad28882dbb1b231c2189e90784de1263104405c26209",
+    "pi-freq": "9742dc1c18937c8a400a38734f56889432a0ee9a2d6885f4d9cfc854c93160c7",
+    "pi-duty": "4bd186757534166c6565a63a291e954dec454cbbdbd11d7aeef38afac8194662",
+}
+
+
 class TestOutputFiles:
+    def test_trace_columns(self):
+        assert TRACE_COLUMNS == (
+            "cycle", "t_start_s", "fsw_hz", "duty", "io_start_a", "vc_start_v", "p_avg_w",
+            "p_des_w", "p_des_corrected_w", "zvs_on_ok", "zvs_off_ok", "solver_status")
+
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_trace_bytes_pinned(self, tmp_path, params, trained_net, trained_qnet, kind):
+        # a setpoint step with correction on a +10 % R plant
+        n = 20 if kind == "exact-nmpc" else 60
+        sc = make_scenario(params, controller=kind, schedule=((5, 1500.0), (n // 2, 2500.0)),
+                           total_cycles=n, plant_params=replace(params, r_l=params.r_l * 1.1),
+                           correction=True, correction_delay=3)
+        records, _ = run_closed_loop(sc, net=trained_net, qnet=trained_qnet)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_SHA256[kind]
+
     def test_trace_csv_columns_and_roundtrip(self, tmp_path):
         records = [make_record(k, 1000.0 + k, 1000.0, zvs=(k != 2)) for k in range(4)]
         path = tmp_path / "trace.csv"

@@ -162,6 +162,9 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ArgumentError):
             TrainConfig(validation_fraction=0.6)
+        for seed in (-1, 1.0, True, "0"):
+            with pytest.raises(ArgumentError):
+                TrainConfig(seed=seed)
 
     @pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"epochs": 3.0}, {"epochs": True},
                                      {"batch_size": 64.0}, {"batch_size": False},
