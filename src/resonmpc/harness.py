@@ -52,6 +52,7 @@ DEFAULT_PI_FIXED_FREQ = 31e3
 # velocity-form PI gains found by pi_tune on the nominal plant; see pi_tune
 DEFAULT_PI_FREQ_GAINS = (1.0, 3.0)  # Hz per W
 DEFAULT_PI_DUTY_GAINS = (2e-6, 6e-6)  # duty per W
+CORRECTION_INTERVAL = 4  # cycles between setpoint-correction updates
 
 @dataclass(frozen=True)
 class Scenario:
@@ -73,7 +74,6 @@ class Scenario:
     correction_gain: float = 0.8
     correction_start: int = 0
     correction_delay: int = 5
-    correction_interval: int = 4
     correction_cmd_max: float = 4000.0
 
     def __post_init__(self):
@@ -93,8 +93,6 @@ class Scenario:
             )
         if self.warmup_cycles < 0:
             raise ArgumentError("warmup_cycles must be non-negative")
-        if self.correction_interval < 1:
-            raise ArgumentError("correction_interval must be >= 1")
 
     def setpoint_at(self, cycle: int) -> float:
         p = self.schedule[0][1]
@@ -244,7 +242,7 @@ def run_closed_loop(
             # correction waits out the step transient, counted from the last
             # setpoint change or the start of closed-loop control (whichever
             # is later), then integrates the setpoint with windup clamping.
-            # Updates run every correction_interval cycles on the power
+            # Updates run every CORRECTION_INTERVAL cycles on the power
             # measured over the settled half of the interval: the plant takes
             # a few cycles to settle after each command change, and feeding
             # mid-transient measurements back every cycle turns the
@@ -263,8 +261,8 @@ def run_closed_loop(
                 else:
                     if last_p_avg is not None:
                         corr_window.append(last_p_avg)
-                    if len(corr_window) >= sc.correction_interval:
-                        settled = corr_window[sc.correction_interval // 2:]
+                    if len(corr_window) >= CORRECTION_INTERVAL:
+                        settled = corr_window[CORRECTION_INTERVAL // 2:]
                         corr = apply_correction(corr, sum(settled) / len(settled))
                         clamped = min(max(corr.p_des_current, 0.0), sc.correction_cmd_max)
                         corr = replace(corr, p_des_current=clamped)

@@ -70,8 +70,7 @@ _SECTION_KEYS = {
               "huber_delta"],
     "scenario": ["schedule", "total_cycles", "controller", "warmup_cycles", "warmup_fsw_hz",
                  "warmup_duty", "correction", "correction_gain", "correction_start",
-                 "correction_delay", "correction_interval", "correction_cmd_max", "r_error",
-                 "l_error"],
+                 "correction_delay", "correction_cmd_max", "r_error", "l_error"],
 }
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                  | st.floats(allow_nan=True, allow_infinity=True)
@@ -104,7 +103,7 @@ _MALFORMED_SCENARIO_VALUES = [
     {"schedule": 5}, {"schedule": [[1, "x"]]}, {"total_cycles": 40.5},
     {"correction": "false"}, {"schedule": [[5.7, 2000]]}, {"correction_gain": True},
     {"schedule": [[5, 2000.0, 1]]}, {"schedule": [5, 2000.0]}, {"controller": 3},
-    {"schedule": [[5, float("nan")]]}, {"correction_interval": 0}, {"warmup_duty": 1.0},
+    {"schedule": [[5, float("nan")]]}, {"warmup_duty": 1.0},
     {"l_error": -1.0}, {"r_error": -1.5}, {"schedule": []},
 ]
 
@@ -136,8 +135,7 @@ class TestConfigParsing:
                                          c_r=1440e-9),
             model_params=model, controller="dnn-quant", warmup_cycles=5,
             warmup_input=ControlInput(100e3, 0.5), correction=True, correction_gain=0.8,
-            correction_start=0, correction_delay=5, correction_interval=4,
-            correction_cmd_max=4000.0)
+            correction_start=0, correction_delay=5, correction_cmd_max=4000.0)
 
     def test_every_scenario_key_read(self):
         doc = {"converter": {"v_s": 200, "l_r": 2e-5, "r_l": 3, "c_r": 1.5e-6},
@@ -145,8 +143,7 @@ class TestConfigParsing:
                             "controller": "pi-freq", "warmup_cycles": 3,
                             "warmup_fsw_hz": 90000, "warmup_duty": 0.4, "correction": False,
                             "correction_gain": 0.5, "correction_start": 10,
-                            "correction_delay": 4, "correction_interval": 6,
-                            "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
+                            "correction_delay": 4, "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
         cfg = parse_config(doc)
         assert cfg.scenario == Scenario(
             schedule=((3, 1000.0), (20, 3000.0)), total_cycles=50,
@@ -154,8 +151,7 @@ class TestConfigParsing:
                                          c_r=1.5e-6),
             model_params=cfg.converter, controller="pi-freq", warmup_cycles=3,
             warmup_input=ControlInput(90e3, 0.4), correction=False, correction_gain=0.5,
-            correction_start=10, correction_delay=4, correction_interval=6,
-            correction_cmd_max=3500.0)
+            correction_start=10, correction_delay=4, correction_cmd_max=3500.0)
         assert all(type(p) is float for _, p in cfg.scenario.schedule)
 
     @pytest.mark.parametrize("doc", [{}, {"scenario": None}, {"scenario": {}}])
