@@ -4,16 +4,22 @@ Weights, biases, per-layer activations and pre-activations are 16-bit
 signed words (the word width is a parameter).  Weight, bias and input binary points are chosen from the
 tensors and calibration data; pre-activation words span the domain of
 their consumer (the tanh table, or the output-box clip).
-Inference runs entirely in integer arithmetic: wide accumulation,
-round-to-nearest-even requantization with saturation, and a 1024-entry
-interpolated tanh table, so results are bit-exact across platforms.
+Inference is integer arithmetic: wide accumulation, round-to-nearest-even
+requantization with saturation, and a 1024-entry interpolated tanh table,
+so results are bit-exact across platforms.
+
+The words hold the same integers a fixed-point datapath would, carried in
+float64 arrays, which hold every integer below 2**53 exactly: products and
+sums go through BLAS and stay exact in any order, and a requantization is
+an exact power-of-two scale and `np.rint`, which rounds half to even.
 
 Everything inference needs that depends only on the network is worked
-out once per `QuantizedNetwork`, on its first evaluation (`plan`): the
+out once per `QuantizedNetwork`, when it is created (`plan`): the
 transposed weight words, the biases aligned to each accumulator's binary
 point, the requantization shifts, and the activation's clip bounds,
-table offset, step shift and slope table.  A call then only multiplies,
-adds, shifts, clips and indexes.
+table offset, step shift and slope table.  The plan also checks that no
+value can reach 2**53.  A call then only multiplies, adds, scales by
+powers of two, rounds, clips and indexes, in blocks of `BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ QNET_FORMAT_VERSION = 1
 TANH_TABLE_SIZE = 1024
 TANH_RANGE = 4.0  # table domain [-4, 4]; a power of two
 TANH_FRAC = 15  # Q15 table entries
+EXACT_LIMIT = 2.0**53  # float64 holds every integer of smaller magnitude exactly
+# Rows per block of `_forward_q_core`: a block's (rows, 10) temporaries are
+# 80 KB, under glibc's 128 KB mmap threshold, so they are reused from the
+# heap instead of being faulted in fresh for every step of a large batch.
+BLOCK_ROWS = 1024
 
 
 def _frac_bits(max_abs: float, word_bits: int) -> int:
@@ -68,21 +79,15 @@ def _quantize_array(a: np.ndarray, frac: int, word_bits: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def _rne_rshift(v, shift: int):
-    """Round-to-nearest-even arithmetic right shift of int64 words (left when shift <= 0).
+def _rne_shift(v: np.ndarray, shift: int) -> np.ndarray:
+    """Round-to-nearest-even arithmetic right shift of integer words, in place.
 
-    Adding 2**(shift-1) - 1 plus the lowest kept bit carries into the kept
-    bits exactly when the dropped bits exceed half, or equal half with an
-    odd kept part.  Exact while |v| + 2**shift fits in int64.
+    `v` is a float64 array of integers (a left shift when shift <= 0).  The
+    power-of-two scale is exact and `np.rint` rounds half to even, so this
+    is the integer shift exactly while |v| < 2**53.
     """
-    if shift <= 0:
-        return v << (-shift)
-    t = v >> shift
-    t &= 1
-    t += v
-    t += (1 << (shift - 1)) - 1
-    t >>= shift
-    return t
+    v *= 2.0**-shift
+    return np.rint(v, out=v)
 
 
 def _clip(v, lo, hi):
@@ -125,17 +130,22 @@ class QuantizedNetwork:
 
     @cached_property
     def plan(self) -> "_Plan":
-        """The constants `_forward_q_core` needs, worked out on first use.
+        """The constants `_forward_q_core` needs, all float64 and worked out once.
 
         Per layer: the transposed weight words, the bias words aligned to
         the accumulator's binary point, the requantization shift, and the
         activation's clip bounds, table offset and step shift; per network:
-        the table's slopes and the input and output scalings.
+        the table's slopes and the input and output scalings.  A layer whose
+        worst-case accumulator, max_j sum_i |W_ji| * max|a_i| + |bias_j|, or
+        whose table interpolation can reach 2**53 raises QuantizationError:
+        float64 would no longer hold its integers exactly.  `quantize` and
+        `load_quantized` build the plan, so such a network fails there.
         """
         limit = 2 ** (self.word_bits - 1)
-        table = self.tanh_table
+        table = self.tanh_table.astype(float)
+        slope = np.append(np.diff(table), 0.0)
         layers = []
-        a_frac = self.input_frac
+        a_frac, a_max = self.input_frac, float(limit)
         for l, (w, b) in enumerate(zip(self.weight_words, self.bias_words)):
             acc_frac = self.weight_fracs[l] + a_frac
             frac = self.preact_fracs[l]
@@ -143,20 +153,31 @@ class QuantizedNetwork:
             # the tanh table spans [-R, R) = [offset, offset + 2**step) in words
             step = frac + int(math.log2(2 * TANH_RANGE))
             offset = -(1 << (step - 1))
+            w = w.astype(float)
+            bias = _rne_shift(b.astype(float), self.bias_fracs[l] - acc_frac)
+            # In float64 this decides `< 2**53` exactly: sums of nonnegative
+            # integers below it are exact, and rounding is monotone.
+            worst = float(np.max(np.abs(w).sum(axis=1) * a_max + np.abs(bias)))
+            if hidden:  # (z - offset) * 1023, and a remainder below 2**step times a slope
+                worst = max(worst, 2.0**step * max(TANH_TABLE_SIZE - 1, np.max(np.abs(slope))))
+            if worst >= EXACT_LIMIT:
+                raise QuantizationError(
+                    f"layer {l}: worst-case integer 2**{math.log2(worst):.1f} reaches 2**53, "
+                    f"which float64 does not hold exactly ({self.word_bits}-bit words)")
             layers.append(_Layer(
                 weights_t=np.ascontiguousarray(w.T),
-                bias=_rne_rshift(b, self.bias_fracs[l] - acc_frac),
+                bias=bias,
                 shift=acc_frac - frac,
                 lo=max(-limit, offset) if hidden else -limit,
                 hi=min(limit - 1, offset + (1 << step)) if hidden else limit - 1,
                 offset=offset,
                 step=step,
             ))
-            a_frac = TANH_FRAC
+            a_frac, a_max = TANH_FRAC, float(np.max(np.abs(table)))
         return _Plan(
             layers=tuple(layers),
             table=table,
-            slope=np.append(np.diff(table), 0),
+            slope=slope,
             input_span=self.input_hi - self.input_lo,
             input_scale=float(2**self.input_frac),
             output_scale=float(2 ** self.preact_fracs[-1]),
@@ -166,8 +187,8 @@ class QuantizedNetwork:
 
 
 class _Layer(NamedTuple):
-    weights_t: np.ndarray  # weight words, (n_in, n_out)
-    bias: np.ndarray  # bias words at the accumulator's binary point
+    weights_t: np.ndarray  # weight words as float64, (n_in, n_out)
+    bias: np.ndarray  # bias words at the accumulator's binary point, float64
     shift: int  # accumulator -> pre-activation word, round to nearest even
     lo: int  # pre-activation clip: the word, and for hidden layers the table domain
     hi: int
@@ -177,7 +198,7 @@ class _Layer(NamedTuple):
 
 class _Plan(NamedTuple):
     layers: tuple  # one _Layer per layer
-    table: np.ndarray  # tanh table, Q15
+    table: np.ndarray  # tanh table, Q15 words as float64
     slope: np.ndarray  # table[k + 1] - table[k], 0 past the last entry
     input_span: np.ndarray
     input_scale: float  # 2**input_frac
@@ -224,7 +245,7 @@ def quantize(
     # whose steps show up as a staircase in the closed-loop input.
     preact_fracs = _preact_fracs(word_bits, len(net.weights))
 
-    return QuantizedNetwork(
+    qnet = QuantizedNetwork(
         weight_words=tuple(w_words),
         bias_words=tuple(b_words),
         weight_fracs=tuple(w_fracs),
@@ -238,32 +259,36 @@ def quantize(
         output_lo=net.output_lo.copy(),
         output_hi=net.output_hi.copy(),
     )
+    qnet.plan  # noqa: B018 -- raises if float64 cannot hold its integers exactly
+    return qnet
 
 
 def _tanh_words(z: np.ndarray, layer: _Layer, plan: _Plan) -> np.ndarray:
     """Q15 tanh of pre-activation words, by linear interpolation in the table.
 
     One clip saturates the words and clamps them to the table's domain.
-    That domain is 1023 steps of 2**step / 1023 words, so for
-    num = (z - offset) * 1023 the entry is num >> step and the remainder
-    num & (2**step - 1); the slope past the last entry is 0.
+    That domain is 1023 steps of 2**step / 1023 words, so
+    t = (z - offset) * 1023 / 2**step holds the entry k in its integer part
+    and the remainder over 2**step in its fraction; the slope past the last
+    entry is 0.  Each step is exact (see `QuantizedNetwork.plan`), so
+    floor(fraction * slope) is the integer (remainder * slope) >> step.
     """
-    num = _clip(z, layer.lo, layer.hi)
-    num -= layer.offset
-    num *= TANH_TABLE_SIZE - 1
-    k = num >> layer.step
-    num &= (1 << layer.step) - 1
-    num *= plan.slope[k]
-    num >>= layer.step
-    num += plan.table[k]
-    return num
+    t = _clip(z, layer.lo, layer.hi)
+    t -= layer.offset
+    t *= (TANH_TABLE_SIZE - 1) * 2.0**-layer.step
+    k = t.astype(np.intp)  # t >= 0, so truncation is the floor
+    t -= k
+    t *= plan.slope[k]
+    np.floor(t, out=t)
+    t += plan.table[k]
+    return t
 
 
 def _preact(a: np.ndarray, layer: _Layer) -> np.ndarray:
-    """A layer's pre-activation words: wide products, the aligned bias, then RNE."""
+    """A layer's pre-activation words: BLAS products, the aligned bias, then RNE."""
     acc = a @ layer.weights_t
     acc += layer.bias
-    return _rne_rshift(acc, layer.shift)
+    return _rne_shift(acc, layer.shift)
 
 
 def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
@@ -271,25 +296,46 @@ def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
 
     The count is of output words clipped to the output box.  Hidden
     pre-activation words clamp to the tanh table's domain as part of the
-    activation and are not counted.  The steps here and in the helpers
-    update fresh arrays in place: on a 10k-row batch a new temporary per
-    step costs about as much as the arithmetic.
+    activation and are not counted.  A NaN input raises ArgumentError; an
+    infinite one saturates its word, as an ADC's would.  The rows go
+    through in blocks of BLOCK_ROWS.
     """
     plan = qnet.plan
     x = np.asarray(x, dtype=float).reshape(-1, 3)
-    xn = 2.0 * (x - qnet.input_lo) / plan.input_span - 1.0
+    if np.isnan(x).any():
+        row = int(np.flatnonzero(np.isnan(x).any(axis=1))[0])
+        raise ArgumentError(f"quantized policy input row {row} is NaN: {x[row].tolist()}")
+    u = np.empty((len(x), len(plan.output_center)))
+    saturations = 0
+    for start in range(0, len(x), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        saturations += _forward_q_block(qnet, plan, x[rows], u[rows])
+    return u, saturations
+
+
+def _forward_q_block(qnet: QuantizedNetwork, plan: _Plan, x: np.ndarray, u: np.ndarray) -> int:
+    """One block of `_forward_q_core`: the outputs go into `u`; returns the saturations.
+
+    Each step updates a fresh array in place.
+    """
+    xn = x - qnet.input_lo
+    xn *= 2.0
+    xn /= plan.input_span
+    xn -= 1.0
+    xn *= plan.input_scale
     out = plan.layers[-1]  # its clip bounds are the word's range
-    a = _clip(np.rint(xn * plan.input_scale), out.lo, out.hi).astype(np.int64)
+    a = _clip(np.rint(xn, out=xn), out.lo, out.hi)
     for layer in plan.layers[:-1]:
         a = _tanh_words(_preact(a, layer), layer, plan)
     z = _preact(a, out)
     words = _clip(z, out.lo, out.hi)
     saturations = int(np.count_nonzero(words != z))
-    y = words.astype(float)
-    y /= plan.output_scale
-    y *= plan.output_half
-    y += plan.output_center
-    return _clip(y, qnet.output_lo, qnet.output_hi), saturations
+    words /= plan.output_scale
+    words *= plan.output_half
+    words += plan.output_center
+    np.maximum(words, qnet.output_lo, out=words)
+    np.minimum(words, qnet.output_hi, out=u)
+    return saturations
 
 
 def forward_q_batch(qnet: QuantizedNetwork, x: np.ndarray) -> np.ndarray:
@@ -358,7 +404,9 @@ def load_quantized(path) -> QuantizedNetwork:
     binary points inside the word width, word counts against the shapes,
     shapes chaining from 3 inputs to 2 outputs, bias, format and box
     lengths against the layers, and the pre-activation binary points
-    against the ones `quantize` fixes for the word width.
+    against the ones `quantize` fixes for the word width.  A well-formed
+    network whose integers float64 cannot hold exactly raises
+    QuantizationError (see `QuantizedNetwork.plan`).
     """
     chk = _FileChecks(path, "quantized network", QNET_FORMAT_VERSION)
     doc, require = chk.doc, chk.require
@@ -408,7 +456,7 @@ def load_quantized(path) -> QuantizedNetwork:
             f"preact_fracs are not {list(_preact_fracs(word_bits, n_layers))}")
     input_lo, input_hi = chk.box("input_box", n_in[0])
     output_lo, output_hi = chk.box("output_box", n_out[-1])
-    return QuantizedNetwork(
+    qnet = QuantizedNetwork(
         weight_words=tuple(w.reshape(shape) for w, shape in zip(weight_words, shapes)),
         bias_words=bias_words,
         weight_fracs=tuple(doc["weight_fracs"]),
@@ -422,3 +470,5 @@ def load_quantized(path) -> QuantizedNetwork:
         output_lo=output_lo,
         output_hi=output_hi,
     )
+    qnet.plan  # noqa: B018 -- raises if float64 cannot hold its integers exactly
+    return qnet

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from resonmpc.errors import ArgumentError, QuantizationError
 from resonmpc.policy import forward_batch, init_network
 from resonmpc.quant import (
+    BLOCK_ROWS,
     TANH_FRAC,
     TANH_RANGE,
     TANH_TABLE_SIZE,
     _frac_bits,
+    _forward_q_core,
     _quantize_array,
-    _rne_rshift,
+    _rne_shift,
     _tanh_words,
     forward_q,
     forward_q_batch,
@@ -117,11 +119,12 @@ def wide_box_points(n, seed, widen=3.0):
 
 
 class TestRounding:
-    @given(st.integers(-(2**40), 2**40), st.integers(1, 20))
+    @given(st.integers(-(2**53) + 1, 2**53 - 1), st.integers(1, 20))
     @settings(max_examples=300, deadline=None)
     def test_rshift_matches_rational_round_half_even(self, v, s):
-        # oracle: exact rational division rounded half-to-even
-        got = int(_rne_rshift(np.array([v], dtype=np.int64), s)[0])
+        # oracle: exact rational division rounded half-to-even, on every
+        # integer float64 holds exactly
+        got = int(_rne_shift(np.array([v], dtype=float), s)[0])
         exact = Fraction(v, 2**s)
         floor = exact.numerator // exact.denominator
         frac = exact - floor
@@ -130,8 +133,8 @@ class TestRounding:
         assert got == floor
 
     def test_rshift_negative_shift_is_left_shift(self):
-        v = np.array([3, -5], dtype=np.int64)
-        np.testing.assert_array_equal(_rne_rshift(v, -2), v * 4)
+        v = np.array([3.0, -5.0])
+        np.testing.assert_array_equal(_rne_shift(v.copy(), -2), v * 4)
 
     @given(st.floats(-1e4, 1e4, allow_nan=False), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)
@@ -188,6 +191,14 @@ class TestQuantize:
         for w in qnet.weight_words + qnet.bias_words:
             assert np.all(np.abs(w) < limit)
 
+    @pytest.mark.parametrize("word_bits", [32, 40])
+    def test_words_float64_cannot_hold_exactly_rejected(self, word_bits):
+        # the input layer's worst-case accumulator, at least
+        # 2**(2 * word_bits - 4), reaches 2**53; 8 to 24 bits build in
+        # TestMatchesReference.test_small_network_at_word_width
+        with pytest.raises(QuantizationError, match="layer 0"):
+            small_qnet(word_bits=word_bits)
+
     def test_weight_words_match_float_weights(self):
         net, _, qnet = small_qnet()
         for w, words, frac in zip(net.weights, qnet.weight_words, qnet.weight_fracs):
@@ -207,6 +218,23 @@ class TestForwardQ:
             u = forward_q(trained_qnet, x)
             row = forward_q_batch(trained_qnet, x.reshape(1, 3))[0]
             assert (u.f_sw, u.duty) == (row[0], row[1])
+
+    def test_nan_input_rejected_naming_the_row(self, trained_qnet, sampling_box_points):
+        with pytest.raises(ArgumentError, match="row 0"):
+            forward_q(trained_qnet, [np.nan, 0.0, 1000.0])
+        x = sampling_box_points[:BLOCK_ROWS + 10].copy()
+        x[BLOCK_ROWS + 3, 1] = np.nan
+        x[BLOCK_ROWS + 7, 0] = np.nan
+        with pytest.raises(ArgumentError, match=f"row {BLOCK_ROWS + 3}"):
+            forward_q_batch(trained_qnet, x)
+
+    def test_infinite_input_saturates_its_word(self, trained_qnet):
+        # an infinite input clips to the input word's range, like a large finite one
+        x = np.array([[np.inf, 0.0, 1000.0], [-np.inf, 0.0, 1000.0], [0.0, 50.0, np.inf]])
+        big = np.where(np.isinf(x), np.sign(x) * 1e9, x)
+        u, _ = ref_forward_q_core(trained_qnet, x)
+        assert forward_q_batch(trained_qnet, x).tobytes() == u.tobytes()
+        assert forward_q_batch(trained_qnet, big).tobytes() == u.tobytes()
 
     def test_outputs_inside_box(self, trained_qnet):
         rng = np.random.default_rng(5)
@@ -257,12 +285,20 @@ class TestMatchesReference:
         net, _, qnet = small_qnet(seed=4, word_bits=word_bits)
         self.assert_matches(net, qnet, wide_box_points(10_000, word_bits, widen=40.0))
 
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 10_001])
+    def test_row_blocks(self, trained_qnet, n):
+        x = wide_box_points(n, n, widen=40.0)
+        u_ref, sat_ref = ref_forward_q_core(trained_qnet, x)
+        u, sat = _forward_q_core(trained_qnet, x)
+        assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
+        assert sat == sat_ref
+
     def test_activation_on_every_16_bit_word(self, trained_qnet):
         frac = trained_qnet.preact_fracs[0]
         z = np.arange(-(2**15), 2**15, dtype=np.int64)
         # accumulator values beyond the word saturate before the lookup
         z = np.concatenate([z, [-(2**40), -(2**15) - 1, 2**15, 2**40]])
-        got = _tanh_words(z, trained_qnet.plan.layers[0], trained_qnet.plan)
+        got = _tanh_words(z.astype(float), trained_qnet.plan.layers[0], trained_qnet.plan)
         want = ref_tanh_lookup(ref_saturate(z, 16)[0], frac, trained_qnet.tanh_table)
         np.testing.assert_array_equal(got, want)
 
@@ -272,7 +308,7 @@ class TestMatchesReference:
         z = np.concatenate([rng.integers(-(2**24), 2**24, 200_000),
                             np.arange(-(2**23) - 3, -(2**23) + 3000),
                             np.arange(2**23 - 3000, 2**23 + 3)])
-        got = _tanh_words(z, qnet.plan.layers[0], qnet.plan)
+        got = _tanh_words(z.astype(float), qnet.plan.layers[0], qnet.plan)
         want = ref_tanh_lookup(ref_saturate(z, 24)[0], qnet.preact_fracs[0], qnet.tanh_table)
         np.testing.assert_array_equal(got, want)
 
@@ -372,6 +408,16 @@ class TestLoaderRejectsMalformedFiles:
         path = tmp_path / "q.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ArgumentError):
+            load_quantized(path)
+
+    def test_load_rejects_inexact_network(self, tmp_path):
+        # a well-formed file whose first bias, aligned 40 bits to the left,
+        # passes 2**53
+        doc = _shipped_doc()
+        doc["bias_fracs"][0] = -15
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(QuantizationError, match="layer 0"):
             load_quantized(path)
 
     @settings(max_examples=150, deadline=None)
