@@ -49,6 +49,11 @@ DEFAULT_INPUT_HI = (150.0, 2000.0, 4000.0)
 
 CSV_COLUMNS = ("io_amps", "vc_volts", "pdes_watts", "fsw_hz", "duty", "provenance")
 PROVENANCES = ("random-state", "trajectory", "rollout", "closed-loop")
+# Rows per block of `forward_batch` and of `quant.forward_q_batch`: a
+# block's (rows, 10) temporaries are 80 KB, under glibc's 128 KB mmap
+# threshold, so they are reused from the heap instead of being faulted in
+# fresh for every step of a large batch.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,24 @@ class PolicyNetwork:
     def layer_sizes(self):
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
-    @property
+    @cached_property
     def output_center(self) -> np.ndarray:
         return 0.5 * (self.output_lo + self.output_hi)
 
-    @property
+    @cached_property
     def output_half(self) -> np.ndarray:
         return 0.5 * (self.output_hi - self.output_lo)
 
+    @cached_property
+    def input_span(self) -> np.ndarray:
+        return self.input_hi - self.input_lo
+
     def normalize_inputs(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (x - self.input_lo) / (self.input_hi - self.input_lo) - 1.0
+        xn = x - self.input_lo  # 2 * (x - lo) / span - 1, in place
+        xn *= 2.0
+        xn /= self.input_span
+        xn -= 1.0
+        return xn
 
     def normalize_targets(self, u: np.ndarray) -> np.ndarray:
         return (u - self.output_center) / self.output_half
@@ -225,12 +238,38 @@ def _forward_raw(net: PolicyNetwork, xn: np.ndarray):
     return acts
 
 
+def _input_rows(x, what: str) -> np.ndarray:
+    """`x` as float64 rows (i_o, v_c, p_des); a NaN raises ArgumentError naming its row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ArgumentError(f"{what} inputs of shape {x.shape} are not rows of 3")
+    x = x.reshape(-1, 3)
+    if np.isnan(x).any():
+        row = int(np.flatnonzero(np.isnan(x).any(axis=1))[0])
+        raise ArgumentError(f"{what} input row {row} is NaN: {x[row].tolist()}")
+    return x
+
+
 def forward_batch(net: PolicyNetwork, x: np.ndarray) -> np.ndarray:
-    """Denormalized, clamped control inputs for a batch of raw inputs (n, 3)."""
-    xn = net.normalize_inputs(np.asarray(x, dtype=float))
-    y = _forward_raw(net, xn)[-1]
-    u = net.output_center + net.output_half * y
-    return np.clip(u, net.output_lo, net.output_hi)
+    """Denormalized, clamped control inputs for a batch of raw inputs (n, 3).
+
+    A NaN input raises ArgumentError.  The rows go through in blocks of
+    BLOCK_ROWS, and a one-row tail joins the block before it: numpy
+    multiplies a single row by another routine, which rounds differently,
+    so a row's output would depend on where the blocks fall.
+    """
+    x = _input_rows(x, "policy")
+    n = len(x)
+    u = np.empty((n, len(net.output_lo)))
+    start = 0
+    for stop in [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]:
+        y = _forward_raw(net, net.normalize_inputs(x[start:stop]))[-1]
+        y *= net.output_half
+        y += net.output_center
+        np.maximum(y, net.output_lo, out=y)
+        np.minimum(y, net.output_hi, out=u[start:stop])
+        start = stop
+    return u
 
 
 def forward(net: PolicyNetwork, x) -> ControlInput:

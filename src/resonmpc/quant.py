@@ -15,11 +15,14 @@ an exact power-of-two scale and `np.rint`, which rounds half to even.
 
 Everything inference needs that depends only on the network is worked
 out once per `QuantizedNetwork`, when it is created (`plan`): the
-transposed weight words, the biases aligned to each accumulator's binary
-point, the requantization shifts, and the activation's clip bounds,
-table offset, step shift and slope table.  The plan also checks that no
-value can reach 2**53.  A call then only multiplies, adds, scales by
-powers of two, rounds, clips and indexes, in blocks of `BLOCK_ROWS` rows.
+transposed weight words and the biases aligned to each accumulator's
+binary point, both scaled by the requantization's power of two, and the
+tanh table with its slopes.  Up to ACTIVATION_TABLE_BITS-bit words the
+plan also evaluates the interpolated tanh once on every hidden word, into
+one table that the word indexes (512 KB at 16 bits); wider words
+interpolate on every call.  The plan also checks that no value can reach
+2**53.  A call then only multiplies, adds, rounds, clips and indexes, in
+blocks of `BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ArgumentError, QuantizationError
 from .plant import ControlInput
-from .policy import PolicyNetwork, _FileChecks, _is_int, forward_batch
+from .policy import BLOCK_ROWS, PolicyNetwork, _FileChecks, _input_rows, _is_int, forward_batch
 
 __all__ = [
     "QuantizedNetwork",
@@ -52,10 +55,10 @@ TANH_TABLE_SIZE = 1024
 TANH_RANGE = 4.0  # table domain [-4, 4]; a power of two
 TANH_FRAC = 15  # Q15 table entries
 EXACT_LIMIT = 2.0**53  # float64 holds every integer of smaller magnitude exactly
-# Rows per block of `_forward_q_core`: a block's (rows, 10) temporaries are
-# 80 KB, under glibc's 128 KB mmap threshold, so they are reused from the
-# heap instead of being faulted in fresh for every step of a large batch.
-BLOCK_ROWS = 1024
+# Widest words whose activation is one table over every hidden word: at 16
+# bits it holds 2**16 float64 entries, 512 KB, and at 24 bits it would take
+# 128 MB, so wider words interpolate in the tanh table on every call.
+ACTIVATION_TABLE_BITS = 16
 
 
 def _frac_bits(max_abs: float, word_bits: int) -> int:
@@ -132,79 +135,91 @@ class QuantizedNetwork:
     def plan(self) -> "_Plan":
         """The constants `_forward_q_core` needs, all float64 and worked out once.
 
-        Per layer: the transposed weight words, the bias words aligned to
-        the accumulator's binary point, the requantization shift, and the
-        activation's clip bounds, table offset and step shift; per network:
-        the table's slopes and the input and output scalings.  A layer whose
-        worst-case accumulator, max_j sum_i |W_ji| * max|a_i| + |bias_j|, or
-        whose table interpolation can reach 2**53 raises QuantizationError:
-        float64 would no longer hold its integers exactly.  `quantize` and
-        `load_quantized` build the plan, so such a network fails there.
+        Per layer: the transposed weight words and the bias words aligned
+        to the accumulator's binary point, both scaled by the
+        requantization's 2**-shift, so `np.rint(a @ weights_t + bias)` is
+        the pre-activation word.  Per network: the word's range, the tanh
+        table and its slopes, the input and output scalings and, up to
+        ACTIVATION_TABLE_BITS, the activation of every hidden word.  A
+        layer whose worst-case accumulator, max_j sum_i |W_ji| * max|a_i|
+        + |bias_j|, or whose table interpolation can reach 2**53 raises
+        QuantizationError: float64 would no longer hold its integers
+        exactly.  `quantize` and `load_quantized` build the plan, so such a
+        network fails there.
         """
         limit = 2 ** (self.word_bits - 1)
         table = self.tanh_table.astype(float)
         slope = np.append(np.diff(table), 0.0)
-        layers = []
+        # Hidden pre-activations have word_bits - 3 fractional bits
+        # (`_preact_fracs`), so the table's domain [-4, 4) is the word's
+        # whole range [-limit, limit): 2**word_bits words in 1023 steps.
+        # The interpolation's largest integers are (z + limit) * 1023 and a
+        # remainder below 2**word_bits times a slope.
+        interp_worst = 2.0**self.word_bits * max(TANH_TABLE_SIZE - 1, np.max(np.abs(slope)))
+        layers, indexed_worst = [], 0.0
         a_frac, a_max = self.input_frac, float(limit)
         for l, (w, b) in enumerate(zip(self.weight_words, self.bias_words)):
             acc_frac = self.weight_fracs[l] + a_frac
-            frac = self.preact_fracs[l]
-            hidden = l < self.n_layers - 1
-            # the tanh table spans [-R, R) = [offset, offset + 2**step) in words
-            step = frac + int(math.log2(2 * TANH_RANGE))
-            offset = -(1 << (step - 1))
+            scale = 2.0 ** (self.preact_fracs[l] - acc_frac)  # 2**-shift, exact
             w = w.astype(float)
             bias = _rne_shift(b.astype(float), self.bias_fracs[l] - acc_frac)
             # In float64 this decides `< 2**53` exactly: sums of nonnegative
             # integers below it are exact, and rounding is monotone.
             worst = float(np.max(np.abs(w).sum(axis=1) * a_max + np.abs(bias)))
-            if hidden:  # (z - offset) * 1023, and a remainder below 2**step times a slope
-                worst = max(worst, 2.0**step * max(TANH_TABLE_SIZE - 1, np.max(np.abs(slope))))
+            if l < self.n_layers - 1:  # hidden
+                # the sum with + limit in the bias, in units of its grid, min(1, scale)
+                indexed_worst = max(indexed_worst, (worst + limit / scale) * max(1.0, scale))
+                worst = max(worst, interp_worst)
             if worst >= EXACT_LIMIT:
                 raise QuantizationError(
                     f"layer {l}: worst-case integer 2**{math.log2(worst):.1f} reaches 2**53, "
                     f"which float64 does not hold exactly ({self.word_bits}-bit words)")
-            layers.append(_Layer(
-                weights_t=np.ascontiguousarray(w.T),
-                bias=bias,
-                shift=acc_frac - frac,
-                lo=max(-limit, offset) if hidden else -limit,
-                hi=min(limit - 1, offset + (1 << step)) if hidden else limit - 1,
-                offset=offset,
-                step=step,
-            ))
+            layers.append(_Layer(weights_t=np.ascontiguousarray(w.T) * scale, bias=bias * scale))
             a_frac, a_max = TANH_FRAC, float(np.max(np.abs(table)))
-        return _Plan(
+        plan = _Plan(
             layers=tuple(layers),
+            lo=float(-limit),
+            hi=float(limit - 1),
             table=table,
             slope=slope,
-            input_span=self.input_hi - self.input_lo,
+            tanh_scale=(TANH_TABLE_SIZE - 1) * 2.0**-self.word_bits,
+            activation=None,
+            input_step=0.5 * (self.input_hi - self.input_lo) * 2.0**-self.input_frac,
             input_scale=float(2**self.input_frac),
-            output_scale=float(2 ** self.preact_fracs[-1]),
+            output_step=0.5 * (self.output_hi - self.output_lo) * 2.0**-self.preact_fracs[-1],
             output_center=0.5 * (self.output_lo + self.output_hi),
-            output_half=0.5 * (self.output_hi - self.output_lo),
         )
+        # A hidden layer's bias can also carry + limit, which makes its word
+        # the activation table's index, while the sum stays exact and the
+        # index inside intp.  Adding limit, an even integer, commutes with
+        # rounding half to even.
+        if self.word_bits <= ACTIVATION_TABLE_BITS and indexed_worst < EXACT_LIMIT:
+            for layer in layers[:-1]:
+                layer.bias[:] += limit
+            words = np.arange(-limit, limit, dtype=float)
+            plan = plan._replace(activation=_tanh_words(words, plan))
+        return plan
 
 
 class _Layer(NamedTuple):
-    weights_t: np.ndarray  # weight words as float64, (n_in, n_out)
-    bias: np.ndarray  # bias words at the accumulator's binary point, float64
-    shift: int  # accumulator -> pre-activation word, round to nearest even
-    lo: int  # pre-activation clip: the word, and for hidden layers the table domain
-    hi: int
-    offset: int  # hidden layers: pre-activation word at the table's first entry
-    step: int  # hidden layers: log2 of the table domain's width in words
+    weights_t: np.ndarray  # weight words * 2**-shift, float64, (n_in, n_out)
+    # bias words at the accumulator's binary point * 2**-shift, float64;
+    # + 2**(word_bits - 1) in hidden layers when the plan has an activation table
+    bias: np.ndarray
 
 
 class _Plan(NamedTuple):
     layers: tuple  # one _Layer per layer
+    lo: float  # a word's range; hidden words span the tanh table's domain
+    hi: float
     table: np.ndarray  # tanh table, Q15 words as float64
     slope: np.ndarray  # table[k + 1] - table[k], 0 past the last entry
-    input_span: np.ndarray
+    tanh_scale: float  # 1023 / 2**word_bits, table steps per hidden word
+    activation: np.ndarray | None  # Q15 tanh of hidden words lo..hi, or None
+    input_step: np.ndarray  # input units per input word: the box's half-span * 2**-input_frac
     input_scale: float  # 2**input_frac
-    output_scale: float  # 2**(output pre-activation frac)
+    output_step: np.ndarray  # output units per output word: the box's half-width * 2**-frac
     output_center: np.ndarray
-    output_half: np.ndarray
 
 
 def quantize(
@@ -263,19 +278,20 @@ def quantize(
     return qnet
 
 
-def _tanh_words(z: np.ndarray, layer: _Layer, plan: _Plan) -> np.ndarray:
-    """Q15 tanh of pre-activation words, by linear interpolation in the table.
+def _tanh_words(z: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Q15 tanh of hidden pre-activation words, by linear interpolation in the table.
 
-    One clip saturates the words and clamps them to the table's domain.
-    That domain is 1023 steps of 2**step / 1023 words, so
-    t = (z - offset) * 1023 / 2**step holds the entry k in its integer part
-    and the remainder over 2**step in its fraction; the slope past the last
-    entry is 0.  Each step is exact (see `QuantizedNetwork.plan`), so
-    floor(fraction * slope) is the integer (remainder * slope) >> step.
+    One clip saturates the words, which is the clamp to the table's
+    domain.  That domain is 1023 steps of 2**word_bits / 1023 words, so
+    t = (z - lo) * 1023 / 2**word_bits holds the entry k in its integer
+    part and the remainder over 2**word_bits in its fraction; the slope
+    past the last entry is 0.  Each step is exact (see
+    `QuantizedNetwork.plan`), so floor(fraction * slope) is the integer
+    (remainder * slope) >> word_bits.
     """
-    t = _clip(z, layer.lo, layer.hi)
-    t -= layer.offset
-    t *= (TANH_TABLE_SIZE - 1) * 2.0**-layer.step
+    t = _clip(z, plan.lo, plan.hi)
+    t -= plan.lo
+    t *= plan.tanh_scale
     k = t.astype(np.intp)  # t >= 0, so truncation is the floor
     t -= k
     t *= plan.slope[k]
@@ -285,10 +301,10 @@ def _tanh_words(z: np.ndarray, layer: _Layer, plan: _Plan) -> np.ndarray:
 
 
 def _preact(a: np.ndarray, layer: _Layer) -> np.ndarray:
-    """A layer's pre-activation words: BLAS products, the aligned bias, then RNE."""
-    acc = a @ layer.weights_t
-    acc += layer.bias
-    return _rne_shift(acc, layer.shift)
+    """A layer's pre-activation words: BLAS products and the bias, rounded half to even."""
+    z = a @ layer.weights_t
+    z += layer.bias
+    return np.rint(z, out=z)
 
 
 def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
@@ -301,10 +317,7 @@ def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
     through in blocks of BLOCK_ROWS.
     """
     plan = qnet.plan
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    if np.isnan(x).any():
-        row = int(np.flatnonzero(np.isnan(x).any(axis=1))[0])
-        raise ArgumentError(f"quantized policy input row {row} is NaN: {x[row].tolist()}")
+    x = _input_rows(x, "quantized policy")
     u = np.empty((len(x), len(plan.output_center)))
     saturations = 0
     for start in range(0, len(x), BLOCK_ROWS):
@@ -316,22 +329,25 @@ def _forward_q_core(qnet: QuantizedNetwork, x: np.ndarray):
 def _forward_q_block(qnet: QuantizedNetwork, plan: _Plan, x: np.ndarray, u: np.ndarray) -> int:
     """One block of `_forward_q_core`: the outputs go into `u`; returns the saturations.
 
-    Each step updates a fresh array in place.
+    Each step updates a fresh array in place.  The input word is
+    2**input_frac * (2 * (x - lo) / span - 1), computed as
+    (x - lo) / input_step - 2**input_frac: the two differ by power-of-two
+    scales, which commute with rounding.
     """
-    xn = x - qnet.input_lo
-    xn *= 2.0
-    xn /= plan.input_span
-    xn -= 1.0
-    xn *= plan.input_scale
-    out = plan.layers[-1]  # its clip bounds are the word's range
-    a = _clip(np.rint(xn, out=xn), out.lo, out.hi)
+    a = x - qnet.input_lo
+    a /= plan.input_step
+    a -= plan.input_scale
+    a = _clip(np.rint(a, out=a), plan.lo, plan.hi)
     for layer in plan.layers[:-1]:
-        a = _tanh_words(_preact(a, layer), layer, plan)
-    z = _preact(a, out)
-    words = _clip(z, out.lo, out.hi)
+        z = _preact(a, layer)
+        if plan.activation is None:
+            a = _tanh_words(z, plan)
+        else:  # z is the table index, and clipping it saturates the word
+            a = plan.activation.take(z.astype(np.intp), mode="clip")
+    z = _preact(a, plan.layers[-1])
+    words = _clip(z, plan.lo, plan.hi)
     saturations = int(np.count_nonzero(words != z))
-    words /= plan.output_scale
-    words *= plan.output_half
+    words *= plan.output_step
     words += plan.output_center
     np.maximum(words, qnet.output_lo, out=words)
     np.minimum(words, qnet.output_hi, out=u)

@@ -17,6 +17,7 @@ from resonmpc.errors import ArgumentError
 from resonmpc.nmpc import NmpcConfig
 from resonmpc.plant import ControlInput, PlantState, perturbed_params, simulate_cycle
 from resonmpc.policy import (
+    BLOCK_ROWS,
     DEFAULT_INPUT_HI,
     DEFAULT_INPUT_LO,
     Dataset,
@@ -70,6 +71,42 @@ class TestForward:
     def test_layer_sizes(self):
         net = init_network(seed=0)
         assert net.layer_sizes == (3, 10, 10, 10, 10, 10, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1, 10_001])
+    def test_row_blocks_match_one_call(self, trained_net, n):
+        x = _wide_box_points(n, seed=n)
+        u = forward_batch(trained_net, x)
+        assert u.shape == (n, 2)
+        assert u.tobytes() == _reference_forward_batch(trained_net, x).tobytes()
+
+    def test_short_blocks_match_one_call(self, trained_net, monkeypatch):
+        # with 7-row blocks every tail length occurs, one row included
+        monkeypatch.setattr(policy, "BLOCK_ROWS", 7)
+        x = _wide_box_points(199, seed=7)
+        for n in range(1, 200):
+            u = forward_batch(trained_net, x[:n])
+            assert u.tobytes() == _reference_forward_batch(trained_net, x[:n]).tobytes()
+
+    def test_nan_input_rejected_naming_the_row(self, trained_net):
+        with pytest.raises(ArgumentError, match="row 0"):
+            forward(trained_net, [np.nan, 0.0, 1000.0])
+        x = _wide_box_points(BLOCK_ROWS + 10, seed=1)
+        x[BLOCK_ROWS + 3, 1] = np.nan
+        x[BLOCK_ROWS + 7, 0] = np.nan
+        with pytest.raises(ArgumentError, match=f"row {BLOCK_ROWS + 3}"):
+            forward_batch(trained_net, x)
+
+    def test_rows_of_three_required(self, trained_net):
+        with pytest.raises(ArgumentError, match="rows of 3"):
+            forward_batch(trained_net, np.zeros((3, 4)))
+
+
+def _wide_box_points(n, seed, widen=3.0):
+    """Inputs from the sampling box widened `widen` times about its centre."""
+    lo, hi = np.array(DEFAULT_INPUT_LO), np.array(DEFAULT_INPUT_HI)
+    c, h = 0.5 * (lo + hi), 0.5 * widen * (hi - lo)
+    return np.random.default_rng(seed).uniform(c - h, c + h, size=(n, 3))
 
 
 def _worst_gradient_error(huber_delta):
@@ -194,8 +231,13 @@ def _reference_forward_raw(net, xn):
 
 
 def _reference_forward_batch(net, x):
-    y = _reference_forward_raw(net, net.normalize_inputs(np.asarray(x, dtype=float)))[-1]
-    return np.clip(net.output_center + net.output_half * y, net.output_lo, net.output_hi)
+    """The whole batch in one call, every constant worked out per call."""
+    x = np.asarray(x, dtype=float)
+    xn = 2.0 * (x - net.input_lo) / (net.input_hi - net.input_lo) - 1.0
+    y = _reference_forward_raw(net, xn)[-1]
+    center = 0.5 * (net.output_lo + net.output_hi)
+    half = 0.5 * (net.output_hi - net.output_lo)
+    return np.clip(center + half * y, net.output_lo, net.output_hi)
 
 
 def _reference_loss(net, x, u_target, huber_delta):

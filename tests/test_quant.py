@@ -19,8 +19,11 @@ from resonmpc.quant import (
     TANH_FRAC,
     TANH_RANGE,
     TANH_TABLE_SIZE,
+    QuantizedNetwork,
+    _build_tanh_table,
     _frac_bits,
     _forward_q_core,
+    _preact_fracs,
     _quantize_array,
     _rne_shift,
     _tanh_words,
@@ -228,6 +231,10 @@ class TestForwardQ:
         with pytest.raises(ArgumentError, match=f"row {BLOCK_ROWS + 3}"):
             forward_q_batch(trained_qnet, x)
 
+    def test_rows_of_three_required(self, trained_qnet):
+        with pytest.raises(ArgumentError, match="rows of 3"):
+            forward_q_batch(trained_qnet, np.zeros((3, 4)))
+
     def test_infinite_input_saturates_its_word(self, trained_qnet):
         # an infinite input clips to the input word's range, like a large finite one
         x = np.array([[np.inf, 0.0, 1000.0], [-np.inf, 0.0, 1000.0], [0.0, 50.0, np.inf]])
@@ -280,9 +287,10 @@ class TestMatchesReference:
         sat = self.assert_matches(trained_net, trained_qnet, wide_box_points(10_000, 11))
         assert sat > 0  # the wide box drives output words into saturation
 
-    @pytest.mark.parametrize("word_bits", [8, 12, 16, 24])
+    @pytest.mark.parametrize("word_bits", [8, 12, 16, 17, 24, 27])
     def test_small_network_at_word_width(self, word_bits):
         net, _, qnet = small_qnet(seed=4, word_bits=word_bits)
+        assert (qnet.plan.activation is None) == (word_bits >= 17)  # 2**17 entries: 1 MB
         self.assert_matches(net, qnet, wide_box_points(10_000, word_bits, widen=40.0))
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 10_001])
@@ -293,24 +301,82 @@ class TestMatchesReference:
         assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
         assert sat == sat_ref
 
+    def test_extreme_finite_inputs(self, trained_qnet):
+        # the input word is (x - lo) / step - 2**frac; near overflow or
+        # underflow it must still give the reference's saturated or zero words
+        big = np.finfo(float).max
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([[big, -big, tiny], [-big, big, -tiny], [1e300, -1e300, 4e3 + tiny],
+                      [-150.0, 2000.0, 0.0], [150.0, -2000.0, 4000.0]])
+        u_ref, sat_ref = ref_forward_q_core(trained_qnet, x)
+        u, sat = _forward_q_core(trained_qnet, x)
+        assert u.tobytes() == u_ref.tobytes() and sat == sat_ref
+
     def test_activation_on_every_16_bit_word(self, trained_qnet):
         frac = trained_qnet.preact_fracs[0]
         z = np.arange(-(2**15), 2**15, dtype=np.int64)
-        # accumulator values beyond the word saturate before the lookup
+        want = ref_tanh_lookup(z, frac, trained_qnet.tanh_table)
+        np.testing.assert_array_equal(trained_qnet.plan.activation, want)
+        # the interpolation that builds the table; accumulator values
+        # beyond the word saturate before the lookup
         z = np.concatenate([z, [-(2**40), -(2**15) - 1, 2**15, 2**40]])
-        got = _tanh_words(z.astype(float), trained_qnet.plan.layers[0], trained_qnet.plan)
+        got = _tanh_words(z.astype(float), trained_qnet.plan)
         want = ref_tanh_lookup(ref_saturate(z, 16)[0], frac, trained_qnet.tanh_table)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("word_bits", [8, 12, 16])
+    def test_activation_table_on_every_word(self, word_bits):
+        _, _, qnet = small_qnet(word_bits=word_bits)
+        z = np.arange(-(2 ** (word_bits - 1)), 2 ** (word_bits - 1), dtype=np.int64)
+        want = ref_tanh_lookup(z, qnet.preact_fracs[0], qnet.tanh_table)
+        assert qnet.plan.activation.dtype == float
+        np.testing.assert_array_equal(qnet.plan.activation, want)
+
     def test_activation_at_24_bits(self):
         _, _, qnet = small_qnet(word_bits=24)
+        assert qnet.plan.activation is None  # 2**24 entries would take 128 MB
         rng = np.random.default_rng(24)
         z = np.concatenate([rng.integers(-(2**24), 2**24, 200_000),
                             np.arange(-(2**23) - 3, -(2**23) + 3000),
                             np.arange(2**23 - 3000, 2**23 + 3)])
-        got = _tanh_words(z.astype(float), qnet.plan.layers[0], qnet.plan)
+        got = _tanh_words(z.astype(float), qnet.plan)
         want = ref_tanh_lookup(ref_saturate(z, 24)[0], qnet.preact_fracs[0], qnet.tanh_table)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("word_bits", [26, 27])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_words_build(self, seed, word_bits):
+        _, _, qnet = small_qnet(seed=seed, word_bits=word_bits)
+        assert qnet.plan.activation is None
+
+    @pytest.mark.parametrize("bias_word", [2**14 - 1, 2**15 - 1])
+    def test_table_only_where_its_index_is_exact(self, bias_word):
+        # Hidden layer 1 takes 256 activations with words of 2**15 - 1 and a
+        # bias aligned 38 bits to the left, and requantizes by 17 bits.  At
+        # the larger bias its worst-case accumulator is 2**53 - 2**27.5,
+        # which float64 holds, but adding the table offset 2**15 * 2**17
+        # would pass 2**53, so that plan interpolates instead.
+        net = init_network(seed=0)
+        rng = np.random.default_rng(bias_word)
+        qnet = QuantizedNetwork(
+            weight_words=(rng.integers(-300, 300, (256, 3)), np.full((10, 256), 2**15 - 1),
+                          rng.integers(-(2**15), 2**15, (2, 10))),
+            bias_words=(rng.integers(-300, 300, 256), np.full(10, bias_word),
+                        rng.integers(-(2**15), 2**15, 2)),
+            weight_fracs=(15, 15, 15),
+            bias_fracs=(15, -8, 15),
+            input_frac=14,
+            preact_fracs=_preact_fracs(16, 3),
+            tanh_table=_build_tanh_table(),
+            word_bits=16,
+            input_lo=net.input_lo, input_hi=net.input_hi,
+            output_lo=net.output_lo, output_hi=net.output_hi,
+        )
+        assert (qnet.plan.activation is None) == (bias_word == 2**15 - 1)
+        x = wide_box_points(3000, 5, widen=3.0)
+        u_ref, sat_ref = ref_forward_q_core(qnet, x)
+        u, sat = _forward_q_core(qnet, x)
+        assert u.tobytes() == u_ref.tobytes() and sat == sat_ref
 
 
 class TestReport:
