@@ -302,7 +302,7 @@ def main():
             rng.uniform(-2000.0, 2000.0, 4000),
             rng.uniform(0.0, 4000.0, 4000),
         ])
-        qnet = quantize(net, calib, word_bits=16)
+        qnet = quantize(net, calib)
         save_quantized(qnet, q_path)
         report = quantization_report(net, qnet, calib)
         print("quantized: max rel deviation", report["max_rel_deviation"],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -71,15 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _load_app_config(args)
-    nmpc_cfg = cfg.nmpc
-    if args.f_min_khz is not None or args.f_max_khz is not None:
-        updates = {}
-        if args.f_min_khz is not None:
-            updates["f_min"] = args.f_min_khz * 1e3
-        if args.f_max_khz is not None:
-            updates["f_max"] = args.f_max_khz * 1e3
-        nmpc_cfg = replace(nmpc_cfg, **updates)
-    sol = nmpc_solve(PlantState(args.io, args.vc), args.pdes, nmpc_cfg, cfg.converter)
+    sol = nmpc_solve(PlantState(args.io, args.vc), args.pdes, cfg.nmpc, cfg.converter)
     out = {
         "status": sol.status,
         "cost": sol.cost,
@@ -129,7 +121,7 @@ def _cmd_quantize(args) -> int:
         calib = policy.Dataset.load_csv(args.calib).x
     else:
         calib = _sampling_box(10000, args.seed)
-    qnet = quant.quantize(net, calib, word_bits=args.word_bits)
+    qnet = quant.quantize(net, calib)
     quant.save_quantized(qnet, args.out)
     report = quant.quantization_report(net, qnet, _sampling_box(10000, args.seed + 1))
     if args.report_out:
@@ -243,8 +235,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--io", type=float, required=True, help="initial current [A]")
     sp.add_argument("--vc", type=float, required=True, help="initial capacitor voltage [V]")
     sp.add_argument("--pdes", type=float, required=True, help="power setpoint [W]")
-    sp.add_argument("--f-min-khz", type=float, help="override lower frequency bound")
-    sp.add_argument("--f-max-khz", type=float, help="override upper frequency bound")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("gen-data", help="generate a labeled training dataset")
@@ -271,7 +261,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("quantize", help="fixed-point quantize a trained network")
     sp.add_argument("--net", required=True, help="network JSON")
     sp.add_argument("--out", required=True, help="quantized network JSON path")
-    sp.add_argument("--word-bits", type=int, default=16)
     sp.add_argument("--calib", help="calibration dataset CSV (default: sampled box)")
     sp.add_argument("--report-out", help="accuracy report JSON path")
     sp.add_argument("--seed", type=int, default=0)

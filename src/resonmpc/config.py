@@ -1,7 +1,7 @@
 """JSON configuration file handling shared by the CLI subcommands.
 
 A config file holds up to four sections: converter (electrical
-parameters), nmpc (horizon, bounds, solver settings, frequencies in Hz),
+parameters), nmpc (horizon, weights and bounds, frequencies in Hz),
 train (optimizer settings) and scenario (closed-loop run description).
 Each section's keys and types are those of its dataclass, so missing keys
 take the dataclass defaults; unknown keys and values of the wrong type are
@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .errors import ArgumentError
-from .harness import DEFAULT_WARMUP_INPUT, Scenario
+from .harness import Scenario
 from .nmpc import NmpcConfig
-from .plant import ControlInput, ConverterParams
+from .plant import ConverterParams
 from .policy import TrainConfig
 
 __all__ = [
@@ -38,19 +38,14 @@ _NMPC_KEYS = {
     "f_max_hz": "f_max",
     "d_min": "d_min",
     "d_max": "d_max",
-    "colloc_degree": "colloc_degree",
-    "colloc_elements": "colloc_elements",
     "zvs_margin_a": "zvs_margin",
     "constraint_tol_a": "constraint_tol",
-    "grad_tol": "grad_tol",
-    "max_iterations": "max_iterations",
 }
 
-# scenario keys that are not Scenario fields: the warm-up input, and the true
-# plant's relative R and L error against the model (the converter section)
-_SCENARIO_EXTRA = {"warmup_fsw_hz": float, "warmup_duty": float, "r_error": float,
-                   "l_error": float}
-_SCENARIO_DERIVED = {"plant_params", "model_params", "warmup_input"}
+# scenario keys that are not Scenario fields: the true plant's relative R
+# and L error against the model (the converter section)
+_SCENARIO_EXTRA = {"r_error": float, "l_error": float}
+_SCENARIO_DERIVED = {"plant_params", "model_params"}
 
 
 @dataclass(frozen=True)
@@ -116,10 +111,8 @@ def _build_scenario(section: dict, model: ConverterParams) -> Scenario:
     keys = {f.name: f.name for f in fields(Scenario) if f.name not in _SCENARIO_DERIVED}
     values = _build_section(section, Scenario, "scenario", keys, _SCENARIO_EXTRA)
     r_error, l_error = values.pop("r_error", 0.0), values.pop("l_error", 0.0)
-    warmup = ControlInput(values.pop("warmup_fsw_hz", DEFAULT_WARMUP_INPUT.f_sw),
-                          values.pop("warmup_duty", DEFAULT_WARMUP_INPUT.duty))
     plant = replace(model, l_r=model.l_r * (1.0 + l_error), r_l=model.r_l * (1.0 + r_error))
-    return Scenario(plant_params=plant, model_params=model, warmup_input=warmup, **values)
+    return Scenario(plant_params=plant, model_params=model, **values)
 
 
 def parse_config(doc: dict) -> AppConfig:

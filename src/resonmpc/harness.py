@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError
 from .nmpc import (
+    WARMUP_INPUT,
     CorrectionState,
     NmpcConfig,
     RecedingHorizonController,
@@ -34,7 +35,6 @@ __all__ = [
     "RunMetrics",
     "CycleRecord",
     "CONTROLLER_KINDS",
-    "DEFAULT_WARMUP_INPUT",
     "run_closed_loop",
     "compute_metrics",
     "run_benchmark",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 CONTROLLER_KINDS = ("exact-nmpc", "dnn", "dnn-quant", "pi-freq", "pi-duty")
-DEFAULT_WARMUP_INPUT = ControlInput(100e3, 0.5)
 DEFAULT_PI_FIXED_FREQ = 31e3
 
 # velocity-form PI gains found by pi_tune on the nominal plant; see pi_tune
@@ -60,7 +59,8 @@ class Scenario:
 
     schedule entries are (start_cycle, p_des_watts); the setpoint holds until
     the next entry.  model_params is what the controller believes; it may
-    differ from plant_params to emulate parameter error.
+    differ from plant_params to emulate parameter error.  The first
+    warmup_cycles run open loop at `nmpc.WARMUP_INPUT`.
     """
 
     schedule: tuple
@@ -69,10 +69,8 @@ class Scenario:
     model_params: ConverterParams
     controller: str
     warmup_cycles: int = 5
-    warmup_input: ControlInput = DEFAULT_WARMUP_INPUT
     correction: bool = False
     correction_gain: float = 0.8
-    correction_start: int = 0
     correction_delay: int = 5
     correction_cmd_max: float = 4000.0
 
@@ -235,7 +233,7 @@ def run_closed_loop(
             seg_start = cycle
             last_p_des = p_des
         if cycle < sc.warmup_cycles:
-            u, status = sc.warmup_input, "warmup"
+            u, status = WARMUP_INPUT, "warmup"
             p_cmd = p_des
             corr = None
         else:
@@ -249,12 +247,7 @@ def run_closed_loop(
             # integrator into a delayed loop that rings at loop gains the
             # settled cadence handles comfortably.
             transient_start = max(seg_start, sc.warmup_cycles)
-            active = (
-                sc.correction
-                and cycle >= sc.correction_start
-                and cycle - transient_start >= sc.correction_delay
-            )
-            if active:
+            if sc.correction and cycle - transient_start >= sc.correction_delay:
                 if corr is None or corr.p_des_orig != p_des:
                     corr = CorrectionState(p_des, p_des, sc.correction_gain)
                     corr_window = []

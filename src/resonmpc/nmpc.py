@@ -35,14 +35,35 @@ __all__ = [
     "RecedingHorizonController",
     "apply_correction",
     "brute_force_oracle",
+    "WARMUP_INPUT",
 ]
 
-_WARMUP_INPUT = ControlInput(100e3, 0.5)
+# the input applied before a controller has a solution: the harness's
+# open-loop warm-up, and the receding-horizon controller's first fallback
+WARMUP_INPUT = ControlInput(100e3, 0.5)
+
+# ON-semicycle power quadrature: Radau collocation nodes on the scaled time axis
+COLLOC_DEGREE = 2
+COLLOC_ELEMENTS = 400
+# The power-tracking cost is degenerate: many (f, d) pairs deliver the
+# same power, and which one the optimizer lands on varies discontinuously
+# with the state.  Under plant/model parameter mismatch those equal-cost
+# pairs deliver very different real power, which makes the closed-loop
+# command-to-power map non-monotonic and breaks the setpoint-correction
+# integrator.  A small duty-centering term (relative to the squared
+# setpoint, like the tracking term) selects the symmetric solution on
+# each level set so the delivered power is carried by frequency alone.
+DUTY_REG = 1e-2
+GRAD_TOL = 1e-6  # projected-gradient tolerance on the scaled problem
+MAX_ITERATIONS = 200  # L-BFGS-B iterations per `minimize` call
+PENALTY_INIT = 1e6  # exterior penalty weight, doubled until feasible ...
+PENALTY_MAX = 1e13  # ... or past this
+FD_REL_STEP = 1e-6  # forward-difference step in the scaled inputs
 
 
 @dataclass(frozen=True)
 class NmpcConfig:
-    """Horizon, weights, bounds and solver settings for the tracking problem."""
+    """Horizon, weights and bounds of the tracking problem."""
 
     horizon_n: int = 10  # control intervals; horizon_n/2 switching intervals
     alpha: float = 5e-8  # frequency weight in the cost
@@ -50,24 +71,8 @@ class NmpcConfig:
     f_max: float = 100e3
     d_min: float = 0.2
     d_max: float = 0.8
-    colloc_degree: int = 2
-    colloc_elements: int = 400
     zvs_margin: float = 10.0  # amps of slack demanded at future boundaries
-    # The power-tracking cost is degenerate: many (f, d) pairs deliver the
-    # same power, and which one the optimizer lands on varies discontinuously
-    # with the state.  Under plant/model parameter mismatch those equal-cost
-    # pairs deliver very different real power, which makes the closed-loop
-    # command-to-power map non-monotonic and breaks the setpoint-correction
-    # integrator.  A small duty-centering term (relative to the squared
-    # setpoint, like the tracking term) selects the symmetric solution on
-    # each level set so the delivered power is carried by frequency alone.
-    duty_reg: float = 1e-2
     constraint_tol: float = 1e-6  # amps
-    grad_tol: float = 1e-6  # projected-gradient tolerance on the scaled problem
-    max_iterations: int = 200
-    penalty_init: float = 1e6
-    penalty_max: float = 1e13
-    fd_rel_step: float = 1e-6
 
     def __post_init__(self):
         if self.horizon_n < 2 or self.horizon_n % 2 != 0:
@@ -136,7 +141,7 @@ class _Horizon:
         self.params = params
         self.config = config
         self.prop = SegmentPropagator(params)
-        grid = collocation_grid(config.colloc_degree, config.colloc_elements)
+        grid = collocation_grid(COLLOC_DEGREE, COLLOC_ELEMENTS)
         taus = grid.global_taus()
         self._node_taus = taus[1:]
         self._node_dtaus = np.diff(taus)
@@ -236,7 +241,7 @@ class _Horizon:
         vs = self.params.v_s
         m = cfg.zvs_margin
         step = self.prop.step
-        reg = cfg.duty_reg * max(1.0, p_des * p_des)
+        reg = DUTY_REG * max(1.0, p_des * p_des)
         i, v, cost, pen = start[:4]
         records = []
         for f, d in pairs:
@@ -261,7 +266,7 @@ class _Horizon:
         reject iterates its line search has pushed a rounding error outside the box.
         """
         cfg = self.config
-        h = cfg.fd_rel_step
+        h = FD_REL_STEP
         cost_scale = max(1.0, p_des * p_des)
         zl = z.tolist()
         pairs = _pairs_from_z(zl, cfg)
@@ -325,7 +330,7 @@ def _constant_input_scan(horizon: _Horizon, x0: PlantState, p_des: float, n: int
     cost = np.zeros(F.shape)
     viol = np.zeros(F.shape)
     m = cfg.zvs_margin
-    reg = cfg.duty_reg * max(1.0, p_des * p_des)
+    reg = DUTY_REG * max(1.0, p_des * p_des)
     for _ in range(cfg.n_pairs):
         p = horizon._on_power(i, v, F, D)
         i1, v1 = prop.step_array(i, v, params.v_s, D / F)
@@ -372,19 +377,19 @@ def solve(
     total_iters = 0
     for z0 in starts:
         z = np.clip(z0, 0.0, 1.0)
-        mu = config.penalty_init
+        mu = PENALTY_INIT
         hit_maxiter = False
         while True:
             res = minimize(horizon.objective, z, args=(mu, start, p_des), method="L-BFGS-B",
                            jac=True, bounds=bounds,
-                           options={"maxiter": config.max_iterations, "gtol": config.grad_tol})
+                           options={"maxiter": MAX_ITERATIONS, "gtol": GRAD_TOL})
             z = np.clip(res.x, 0.0, 1.0)
             total_iters += res.nit
             hit_maxiter = hit_maxiter or res.status == 1
             pairs = _pairs_from_z(z.tolist(), config)
             records = horizon.rollout(pairs, p_des, start)
             worst = max(r[7] for r in records)
-            if worst < config.constraint_tol or mu >= config.penalty_max:
+            if worst < config.constraint_tol or mu >= PENALTY_MAX:
                 break
             mu *= 2.0
         cand = (worst >= config.constraint_tol, records[-1][2], pairs, records, hit_maxiter)
@@ -417,7 +422,7 @@ class RecedingHorizonController:
         self,
         config: NmpcConfig,
         params: ConverterParams,
-        fallback: ControlInput = _WARMUP_INPUT,
+        fallback: ControlInput = WARMUP_INPUT,
     ):
         self.config = config
         self.params = params

@@ -1,7 +1,7 @@
 """Software emulation of the fixed-point inference path.
 
 Weights, biases, per-layer activations and pre-activations are 16-bit
-signed words (the word width is a parameter).  Weight, bias and input binary points are chosen from the
+signed words.  Weight, bias and input binary points are chosen from the
 tensors and calibration data; pre-activation words span the domain of
 their consumer (the tanh table, or the output-box clip).
 Inference is integer arithmetic: wide accumulation, round-to-nearest-even
@@ -17,12 +17,10 @@ Everything inference needs that depends only on the network is worked
 out once per `QuantizedNetwork`, when it is created (`plan`): the
 transposed weight words and the biases aligned to each accumulator's
 binary point, both scaled by the requantization's power of two, and the
-tanh table with its slopes.  Up to ACTIVATION_TABLE_BITS-bit words the
-plan also evaluates the interpolated tanh once on every hidden word, into
-one table that the word indexes (512 KB at 16 bits); wider words
-interpolate on every call.  The plan also checks that no value can reach
-2**53.  A call then only multiplies, adds, rounds, clips and indexes, in
-blocks of `BLOCK_ROWS` rows.
+interpolated tanh of every hidden word, one table of 2**16 entries
+(512 KB) that the word indexes.  The plan also checks that no value can
+reach 2**53.  A call then only multiplies, adds, rounds, clips and
+indexes, in blocks of `BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -51,33 +49,30 @@ __all__ = [
 ]
 
 QNET_FORMAT_VERSION = 1
+WORD_BITS = 16
+WORD_LIMIT = 2 ** (WORD_BITS - 1)  # words lie in [-WORD_LIMIT, WORD_LIMIT)
 TANH_TABLE_SIZE = 1024
 TANH_RANGE = 4.0  # table domain [-4, 4]; a power of two
 TANH_FRAC = 15  # Q15 table entries
 EXACT_LIMIT = 2.0**53  # float64 holds every integer of smaller magnitude exactly
-# Widest words whose activation is one table over every hidden word: at 16
-# bits it holds 2**16 float64 entries, 512 KB, and at 24 bits it would take
-# 128 MB, so wider words interpolate in the tanh table on every call.
-ACTIVATION_TABLE_BITS = 16
 
 
-def _frac_bits(max_abs: float, word_bits: int) -> int:
+def _frac_bits(max_abs: float) -> int:
     """Fractional bits: sign + ceil(log2(max_abs)) integer bits out of the word."""
     if max_abs <= 0.0:
-        return word_bits - 1
+        return WORD_BITS - 1
     int_bits = max(0, math.ceil(math.log2(max_abs))) + 1
-    frac = (word_bits - 1) - int_bits
-    if frac < -(word_bits - 1):
-        raise QuantizationError(f"magnitude {max_abs} cannot fit a {word_bits}-bit word")
+    frac = (WORD_BITS - 1) - int_bits
+    if frac < -(WORD_BITS - 1):
+        raise QuantizationError(f"magnitude {max_abs} cannot fit a {WORD_BITS}-bit word")
     return frac
 
 
-def _quantize_array(a: np.ndarray, frac: int, word_bits: int) -> np.ndarray:
+def _quantize_array(a: np.ndarray, frac: int) -> np.ndarray:
     q = np.rint(np.asarray(a, dtype=float) * float(2**frac))  # rint rounds half to even
-    limit = 2 ** (word_bits - 1)
-    if np.any(np.abs(q) >= limit):
+    if np.any(np.abs(q) >= WORD_LIMIT):
         raise QuantizationError(
-            f"value exceeds {word_bits}-bit range at {frac} fractional bits"
+            f"value exceeds {WORD_BITS}-bit range at {frac} fractional bits"
         )
     return q.astype(np.int64)
 
@@ -99,10 +94,10 @@ def _clip(v, lo, hi):
     return np.minimum(t, hi, out=t)
 
 
-def _preact_fracs(word_bits: int, n_layers: int) -> tuple:
+def _preact_fracs(n_layers: int) -> tuple:
     """Pre-activation binary points: [-TANH_RANGE, TANH_RANGE) hidden, [-1, 1) output."""
-    hidden_frac = word_bits - 1 - int(math.log2(TANH_RANGE))
-    return (hidden_frac,) * (n_layers - 1) + (word_bits - 1,)
+    hidden_frac = WORD_BITS - 1 - int(math.log2(TANH_RANGE))
+    return (hidden_frac,) * (n_layers - 1) + (WORD_BITS - 1,)
 
 
 def _build_tanh_table() -> np.ndarray:
@@ -114,14 +109,13 @@ def _build_tanh_table() -> np.ndarray:
 class QuantizedNetwork:
     """Integer words plus per-tensor binary points for the policy network."""
 
-    weight_words: tuple  # int64 arrays holding word_bits-wide values
+    weight_words: tuple  # int64 arrays holding 16-bit values
     bias_words: tuple
     weight_fracs: tuple
     bias_fracs: tuple
     input_frac: int
     preact_fracs: tuple  # requantization format after each layer's accumulate
     tanh_table: np.ndarray  # int64, Q15 values
-    word_bits: int
     input_lo: np.ndarray
     input_hi: np.ndarray
     output_lo: np.ndarray
@@ -138,26 +132,19 @@ class QuantizedNetwork:
         Per layer: the transposed weight words and the bias words aligned
         to the accumulator's binary point, both scaled by the
         requantization's 2**-shift, so `np.rint(a @ weights_t + bias)` is
-        the pre-activation word.  Per network: the word's range, the tanh
-        table and its slopes, the input and output scalings and, up to
-        ACTIVATION_TABLE_BITS, the activation of every hidden word.  A
-        layer whose worst-case accumulator, max_j sum_i |W_ji| * max|a_i|
-        + |bias_j|, or whose table interpolation can reach 2**53 raises
-        QuantizationError: float64 would no longer hold its integers
-        exactly.  `quantize` and `load_quantized` build the plan, so such a
-        network fails there.
+        the pre-activation word.  A hidden layer's bias also carries
+        WORD_LIMIT, so its rounded sum is the word's index into the
+        activation table; WORD_LIMIT is even, so adding it commutes with
+        rounding half to even.  Per network: the word's range, the
+        activation of every hidden word (`_tanh_words`), and the input and
+        output scalings.  A layer whose worst-case sum, max_j sum_i |W_ji| *
+        max|a_i| + |bias_j|, with the table offset in a hidden layer, can
+        reach 2**53 raises QuantizationError naming the layer: float64
+        would no longer hold its integers exactly.  `quantize` and
+        `load_quantized` build the plan, so such a network fails there.
         """
-        limit = 2 ** (self.word_bits - 1)
-        table = self.tanh_table.astype(float)
-        slope = np.append(np.diff(table), 0.0)
-        # Hidden pre-activations have word_bits - 3 fractional bits
-        # (`_preact_fracs`), so the table's domain [-4, 4) is the word's
-        # whole range [-limit, limit): 2**word_bits words in 1023 steps.
-        # The interpolation's largest integers are (z + limit) * 1023 and a
-        # remainder below 2**word_bits times a slope.
-        interp_worst = 2.0**self.word_bits * max(TANH_TABLE_SIZE - 1, np.max(np.abs(slope)))
-        layers, indexed_worst = [], 0.0
-        a_frac, a_max = self.input_frac, float(limit)
+        layers = []
+        a_frac, a_max = self.input_frac, float(WORD_LIMIT)
         for l, (w, b) in enumerate(zip(self.weight_words, self.bias_words)):
             acc_frac = self.weight_fracs[l] + a_frac
             scale = 2.0 ** (self.preact_fracs[l] - acc_frac)  # 2**-shift, exact
@@ -166,45 +153,34 @@ class QuantizedNetwork:
             # In float64 this decides `< 2**53` exactly: sums of nonnegative
             # integers below it are exact, and rounding is monotone.
             worst = float(np.max(np.abs(w).sum(axis=1) * a_max + np.abs(bias)))
-            if l < self.n_layers - 1:  # hidden
-                # the sum with + limit in the bias, in units of its grid, min(1, scale)
-                indexed_worst = max(indexed_worst, (worst + limit / scale) * max(1.0, scale))
-                worst = max(worst, interp_worst)
+            hidden = l < self.n_layers - 1
+            if hidden:  # the sum with the offset, in units of its grid, min(1, scale)
+                worst = (worst + WORD_LIMIT / scale) * max(1.0, scale)
             if worst >= EXACT_LIMIT:
                 raise QuantizationError(
                     f"layer {l}: worst-case integer 2**{math.log2(worst):.1f} reaches 2**53, "
-                    f"which float64 does not hold exactly ({self.word_bits}-bit words)")
-            layers.append(_Layer(weights_t=np.ascontiguousarray(w.T) * scale, bias=bias * scale))
-            a_frac, a_max = TANH_FRAC, float(np.max(np.abs(table)))
-        plan = _Plan(
+                    "which float64 does not hold exactly")
+            bias *= scale
+            if hidden:
+                bias += WORD_LIMIT
+            layers.append(_Layer(weights_t=np.ascontiguousarray(w.T) * scale, bias=bias))
+            a_frac, a_max = TANH_FRAC, float(np.max(np.abs(self.tanh_table)))
+        return _Plan(
             layers=tuple(layers),
-            lo=float(-limit),
-            hi=float(limit - 1),
-            table=table,
-            slope=slope,
-            tanh_scale=(TANH_TABLE_SIZE - 1) * 2.0**-self.word_bits,
-            activation=None,
+            lo=float(-WORD_LIMIT),
+            hi=float(WORD_LIMIT - 1),
+            activation=_tanh_words(self.tanh_table),
             input_step=0.5 * (self.input_hi - self.input_lo) * 2.0**-self.input_frac,
             input_scale=float(2**self.input_frac),
             output_step=0.5 * (self.output_hi - self.output_lo) * 2.0**-self.preact_fracs[-1],
             output_center=0.5 * (self.output_lo + self.output_hi),
         )
-        # A hidden layer's bias can also carry + limit, which makes its word
-        # the activation table's index, while the sum stays exact and the
-        # index inside intp.  Adding limit, an even integer, commutes with
-        # rounding half to even.
-        if self.word_bits <= ACTIVATION_TABLE_BITS and indexed_worst < EXACT_LIMIT:
-            for layer in layers[:-1]:
-                layer.bias[:] += limit
-            words = np.arange(-limit, limit, dtype=float)
-            plan = plan._replace(activation=_tanh_words(words, plan))
-        return plan
 
 
 class _Layer(NamedTuple):
     weights_t: np.ndarray  # weight words * 2**-shift, float64, (n_in, n_out)
-    # bias words at the accumulator's binary point * 2**-shift, float64;
-    # + 2**(word_bits - 1) in hidden layers when the plan has an activation table
+    # bias words at the accumulator's binary point * 2**-shift, float64,
+    # + WORD_LIMIT in hidden layers
     bias: np.ndarray
 
 
@@ -212,23 +188,18 @@ class _Plan(NamedTuple):
     layers: tuple  # one _Layer per layer
     lo: float  # a word's range; hidden words span the tanh table's domain
     hi: float
-    table: np.ndarray  # tanh table, Q15 words as float64
-    slope: np.ndarray  # table[k + 1] - table[k], 0 past the last entry
-    tanh_scale: float  # 1023 / 2**word_bits, table steps per hidden word
-    activation: np.ndarray | None  # Q15 tanh of hidden words lo..hi, or None
+    activation: np.ndarray  # Q15 tanh of hidden words lo..hi, as float64
     input_step: np.ndarray  # input units per input word: the box's half-span * 2**-input_frac
     input_scale: float  # 2**input_frac
     output_step: np.ndarray  # output units per output word: the box's half-width * 2**-frac
     output_center: np.ndarray
 
 
-def quantize(
-    net: PolicyNetwork, calibration: np.ndarray, word_bits: int = 16
-) -> QuantizedNetwork:
+def quantize(net: PolicyNetwork, calibration: np.ndarray) -> QuantizedNetwork:
     """Fixed-point version of `net`, formats calibrated on `calibration` inputs.
 
     Weight/bias formats come from each tensor's own range.  Each layer's
-    accumulator is requantized to a word_bits-wide pre-activation whose range
+    accumulator is requantized to a 16-bit pre-activation whose range
     is the domain of its consumer: [-TANH_RANGE, TANH_RANGE) for hidden
     layers (the tanh table) and [-1, 1) for the output layer (the
     output-box clip).  The input format comes from the calibration inputs.
@@ -239,16 +210,16 @@ def quantize(
     if calibration.size == 0:
         raise ArgumentError("calibration set must be nonempty")
     xn = net.normalize_inputs(calibration)
-    input_frac = _frac_bits(float(np.max(np.abs(xn))), word_bits)
+    input_frac = _frac_bits(float(np.max(np.abs(xn))))
 
     w_fracs, b_fracs, w_words, b_words = [], [], [], []
     for w, b in zip(net.weights, net.biases):
-        wf = _frac_bits(float(np.max(np.abs(w))), word_bits)
-        bf = _frac_bits(float(np.max(np.abs(b))), word_bits)
+        wf = _frac_bits(float(np.max(np.abs(w))))
+        bf = _frac_bits(float(np.max(np.abs(b))))
         w_fracs.append(wf)
         b_fracs.append(bf)
-        w_words.append(_quantize_array(w, wf, word_bits))
-        b_words.append(_quantize_array(b, bf, word_bits))
+        w_words.append(_quantize_array(w, wf))
+        b_words.append(_quantize_array(b, bf))
     # A word only needs to span the values its consumer distinguishes.  A
     # hidden pre-activation feeds the tanh table, which clamps outside
     # [-TANH_RANGE, TANH_RANGE]; the final layer feeds the output-box
@@ -258,7 +229,7 @@ def quantize(
     # that would be discarded anyway.  Sizing hidden words by the calibrated
     # pre-activation range instead (|z| up to ~30) would leave Q9/Q10 words,
     # whose steps show up as a staircase in the closed-loop input.
-    preact_fracs = _preact_fracs(word_bits, len(net.weights))
+    preact_fracs = _preact_fracs(len(net.weights))
 
     qnet = QuantizedNetwork(
         weight_words=tuple(w_words),
@@ -268,7 +239,6 @@ def quantize(
         input_frac=input_frac,
         preact_fracs=preact_fracs,
         tanh_table=_build_tanh_table(),
-        word_bits=word_bits,
         input_lo=net.input_lo.copy(),
         input_hi=net.input_hi.copy(),
         output_lo=net.output_lo.copy(),
@@ -278,25 +248,26 @@ def quantize(
     return qnet
 
 
-def _tanh_words(z: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Q15 tanh of hidden pre-activation words, by linear interpolation in the table.
+def _tanh_words(tanh_table: np.ndarray) -> np.ndarray:
+    """Q15 tanh of every hidden pre-activation word, -WORD_LIMIT..WORD_LIMIT - 1,
+    by linear interpolation in the table, as float64.
 
-    One clip saturates the words, which is the clamp to the table's
-    domain.  That domain is 1023 steps of 2**word_bits / 1023 words, so
-    t = (z - lo) * 1023 / 2**word_bits holds the entry k in its integer
-    part and the remainder over 2**word_bits in its fraction; the slope
-    past the last entry is 0.  Each step is exact (see
-    `QuantizedNetwork.plan`), so floor(fraction * slope) is the integer
-    (remainder * slope) >> word_bits.
+    Hidden words have WORD_BITS - 3 fractional bits (`_preact_fracs`), so
+    the table's domain [-4, 4) is their whole range: 2**16 words in 1023
+    steps.  t = (z + WORD_LIMIT) * 1023 / 2**16 holds the entry k in its
+    integer part and the remainder over 2**16 in its fraction.  Each step
+    is exact in float64, as its integers stay below 2**32, so
+    floor(fraction * slope) is the integer (remainder * slope) >> 16.
     """
-    t = _clip(z, plan.lo, plan.hi)
-    t -= plan.lo
-    t *= plan.tanh_scale
+    table = tanh_table.astype(float)
+    slope = np.diff(table)
+    t = np.arange(2 * WORD_LIMIT, dtype=float)  # z + WORD_LIMIT
+    t *= (TANH_TABLE_SIZE - 1) * 2.0**-WORD_BITS
     k = t.astype(np.intp)  # t >= 0, so truncation is the floor
     t -= k
-    t *= plan.slope[k]
+    t *= slope[k]
     np.floor(t, out=t)
-    t += plan.table[k]
+    t += table[k]
     return t
 
 
@@ -338,12 +309,9 @@ def _forward_q_block(qnet: QuantizedNetwork, plan: _Plan, x: np.ndarray, u: np.n
     a /= plan.input_step
     a -= plan.input_scale
     a = _clip(np.rint(a, out=a), plan.lo, plan.hi)
-    for layer in plan.layers[:-1]:
+    for layer in plan.layers[:-1]:  # z is the table index; clipping it saturates the word
         z = _preact(a, layer)
-        if plan.activation is None:
-            a = _tanh_words(z, plan)
-        else:  # z is the table index, and clipping it saturates the word
-            a = plan.activation.take(z.astype(np.intp), mode="clip")
+        a = plan.activation.take(z.astype(np.intp), mode="clip")
     z = _preact(a, plan.layers[-1])
     words = _clip(z, plan.lo, plan.hi)
     saturations = int(np.count_nonzero(words != z))
@@ -378,7 +346,7 @@ def quantization_report(
     u_q, saturations = _forward_q_core(qnet, testset)
     half = 0.5 * (qnet.output_hi - qnet.output_lo)
     rel = np.abs(u_q - u_f) / half
-    limit = float(2 ** (qnet.word_bits - 1) - 1)
+    limit = float(WORD_LIMIT - 1)
     utilization = [
         float(np.max(np.abs(w)) / limit) if w.size else 0.0 for w in qnet.weight_words
     ]
@@ -388,14 +356,14 @@ def quantization_report(
         "mean_rel_deviation": rel.mean(axis=0).tolist(),
         "saturation_events": int(saturations),
         "weight_range_utilization": utilization,
-        "word_bits": qnet.word_bits,
+        "word_bits": WORD_BITS,
     }
 
 
 def save_quantized(qnet: QuantizedNetwork, path):
     doc = {
         "format_version": QNET_FORMAT_VERSION,
-        "word_bits": qnet.word_bits,
+        "word_bits": WORD_BITS,
         "weight_words": [w.ravel().tolist() for w in qnet.weight_words],
         "weight_shapes": [list(w.shape) for w in qnet.weight_words],
         "bias_words": [b.tolist() for b in qnet.bias_words],
@@ -415,12 +383,12 @@ def save_quantized(qnet: QuantizedNetwork, path):
 def load_quantized(path) -> QuantizedNetwork:
     """Read a `save_quantized` file; a malformed one raises ArgumentError.
 
-    Checked: the JSON, the format version, every key's type, the tanh
-    table's range, format and length against this module's, words and
-    binary points inside the word width, word counts against the shapes,
-    shapes chaining from 3 inputs to 2 outputs, bias, format and box
-    lengths against the layers, and the pre-activation binary points
-    against the ones `quantize` fixes for the word width.  A well-formed
+    Checked: the JSON, the format version, every key's type, a word
+    width of WORD_BITS, the tanh table's range, format and length against
+    this module's, words and binary points inside the word width, word
+    counts against the shapes, shapes chaining from 3 inputs to 2 outputs,
+    bias, format and box lengths against the layers, and the
+    pre-activation binary points against the ones `quantize` fixes.  A well-formed
     network whose integers float64 cannot hold exactly raises
     QuantizationError (see `QuantizedNetwork.plan`).
     """
@@ -433,8 +401,8 @@ def load_quantized(path) -> QuantizedNetwork:
                 f"{what} is not a list of {bits}-bit words")
         return np.asarray(v, dtype=np.int64)
 
-    word_bits = doc.get("word_bits")
-    require(_is_int(word_bits) and 2 <= word_bits <= 32, "word_bits is not an integer in [2, 32]")
+    require(_is_int(doc.get("word_bits")) and doc["word_bits"] == WORD_BITS,
+            f"word_bits is not {WORD_BITS}")
     require(doc.get("tanh_range") == TANH_RANGE and doc.get("tanh_frac") == TANH_FRAC,
             f"tanh table format is not range {TANH_RANGE}, Q{TANH_FRAC}")
     table = words(doc.get("tanh_table"), "tanh_table", TANH_FRAC + 1)
@@ -451,15 +419,15 @@ def load_quantized(path) -> QuantizedNetwork:
     n_in = [shape[1] for shape in shapes]
     require(n_in[0] == 3 and n_out[-1] == 2 and n_in[1:] == n_out[:-1],
             f"layer shapes {shapes} do not chain from 3 inputs to 2 outputs")
-    weight_words = tuple(words(w, f"weight_words[{l}]", word_bits) for l, w in enumerate(flat))
+    weight_words = tuple(words(w, f"weight_words[{l}]", WORD_BITS) for l, w in enumerate(flat))
     for l, (w, shape) in enumerate(zip(weight_words, shapes)):
         require(w.size == shape[0] * shape[1], f"layer {l} holds {w.size} words, shape {shape}")
     bias = doc.get("bias_words")
     require(isinstance(bias, list) and len(bias) == n_layers, "bias_words do not match the layers")
-    bias_words = tuple(words(b, f"bias_words[{l}]", word_bits) for l, b in enumerate(bias))
+    bias_words = tuple(words(b, f"bias_words[{l}]", WORD_BITS) for l, b in enumerate(bias))
     require([b.size for b in bias_words] == n_out, "bias lengths do not match the layers")
     def is_frac(v):  # a binary point inside the word, as `_frac_bits` places it
-        return _is_int(v) and abs(v) < word_bits
+        return _is_int(v) and abs(v) < WORD_BITS
 
     for key in ("weight_fracs", "bias_fracs", "preact_fracs"):
         v = doc.get(key)
@@ -468,8 +436,8 @@ def load_quantized(path) -> QuantizedNetwork:
     require(is_frac(doc.get("input_frac")), "input_frac is not a binary point")
     # pre-activation words span their consumer's domain by design, so any
     # other binary point mis-scales the tanh table or the output box
-    require(tuple(doc["preact_fracs"]) == _preact_fracs(word_bits, n_layers),
-            f"preact_fracs are not {list(_preact_fracs(word_bits, n_layers))}")
+    require(tuple(doc["preact_fracs"]) == _preact_fracs(n_layers),
+            f"preact_fracs are not {list(_preact_fracs(n_layers))}")
     input_lo, input_hi = chk.box("input_box", n_in[0])
     output_lo, output_hi = chk.box("output_box", n_out[-1])
     qnet = QuantizedNetwork(
@@ -480,7 +448,6 @@ def load_quantized(path) -> QuantizedNetwork:
         input_frac=doc["input_frac"],
         preact_fracs=tuple(doc["preact_fracs"]),
         tanh_table=table,
-        word_bits=word_bits,
         input_lo=input_lo,
         input_hi=input_hi,
         output_lo=output_lo,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from resonmpc.harness import run_benchmark, run_param_grid
-from resonmpc.nmpc import brute_force_oracle, solve
+from resonmpc.nmpc import COLLOC_DEGREE, COLLOC_ELEMENTS, brute_force_oracle, solve
 from resonmpc.plant import (
     ControlInput,
     PlantState,
@@ -193,7 +193,7 @@ class TestNumericalProperties:
         # collocation end state matches the exact propagator within 0.5%
         u = ControlInput(40e3, 0.5)
         x0 = PlantState(-20.0, 300.0)
-        grid = collocation_grid(2, nmpc_config.colloc_elements)
+        grid = collocation_grid(COLLOC_DEGREE, COLLOC_ELEMENTS)
         pred = predict_interval(x0, u, "on", params, grid)
         prop = SegmentPropagator(params)
         i_ex, v_ex = prop.step(x0.i_o, x0.v_c, params.v_s, u.on_time)

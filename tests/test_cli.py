@@ -5,17 +5,22 @@ files and exit codes, exercised through main() in-process.
 import csv
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resonmpc import config
 from resonmpc.cli import main
 from resonmpc.config import DEFAULT_CONVERTER, AppConfig, parse_config
 from resonmpc.errors import ArgumentError
 from resonmpc.harness import TRACE_COLUMNS, Scenario
-from resonmpc.plant import ControlInput, ConverterParams
-from resonmpc.policy import Dataset, load_network
+from resonmpc.plant import ConverterParams
+from resonmpc.policy import Dataset, TrainConfig, load_network
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -65,12 +70,13 @@ class TestArgumentHandling:
 # every section, with its known keys and one unknown one
 _SECTION_KEYS = {
     "converter": ["v_s", "l_r", "r_l", "c_r"],
-    "nmpc": ["n", "alpha", "f_min_hz", "f_max_hz", "d_min", "d_max", "max_iterations"],
+    "nmpc": ["n", "alpha", "f_min_hz", "f_max_hz", "d_min", "d_max", "zvs_margin_a",
+             "constraint_tol_a"],
     "train": ["epochs", "batch_size", "step_size", "validation_fraction", "seed",
               "huber_delta"],
-    "scenario": ["schedule", "total_cycles", "controller", "warmup_cycles", "warmup_fsw_hz",
-                 "warmup_duty", "correction", "correction_gain", "correction_start",
-                 "correction_delay", "correction_cmd_max", "r_error", "l_error"],
+    "scenario": ["schedule", "total_cycles", "controller", "warmup_cycles", "correction",
+                 "correction_gain", "correction_delay", "correction_cmd_max", "r_error",
+                 "l_error"],
 }
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                  | st.floats(allow_nan=True, allow_infinity=True)
@@ -103,7 +109,7 @@ _MALFORMED_SCENARIO_VALUES = [
     {"schedule": 5}, {"schedule": [[1, "x"]]}, {"total_cycles": 40.5},
     {"correction": "false"}, {"schedule": [[5.7, 2000]]}, {"correction_gain": True},
     {"schedule": [[5, 2000.0, 1]]}, {"schedule": [5, 2000.0]}, {"controller": 3},
-    {"schedule": [[5, float("nan")]]}, {"warmup_duty": 1.0},
+    {"schedule": [[5, float("nan")]]}, {"correction_delay": 2.5},
     {"l_error": -1.0}, {"r_error": -1.5}, {"schedule": []},
 ]
 
@@ -134,24 +140,20 @@ class TestConfigParsing:
             plant_params=ConverterParams(v_s=230.0, l_r=19e-6, r_l=2.9 * (1.0 + 0.15),
                                          c_r=1440e-9),
             model_params=model, controller="dnn-quant", warmup_cycles=5,
-            warmup_input=ControlInput(100e3, 0.5), correction=True, correction_gain=0.8,
-            correction_start=0, correction_delay=5, correction_cmd_max=4000.0)
+            correction=True, correction_gain=0.8, correction_delay=5, correction_cmd_max=4000.0)
 
     def test_every_scenario_key_read(self):
         doc = {"converter": {"v_s": 200, "l_r": 2e-5, "r_l": 3, "c_r": 1.5e-6},
                "scenario": {"schedule": [[3, 1000], [20, 3000.0]], "total_cycles": 50,
-                            "controller": "pi-freq", "warmup_cycles": 3,
-                            "warmup_fsw_hz": 90000, "warmup_duty": 0.4, "correction": False,
-                            "correction_gain": 0.5, "correction_start": 10,
-                            "correction_delay": 4, "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
+                            "controller": "pi-freq", "warmup_cycles": 3, "correction": False,
+                            "correction_gain": 0.5, "correction_delay": 4, "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
         cfg = parse_config(doc)
         assert cfg.scenario == Scenario(
             schedule=((3, 1000.0), (20, 3000.0)), total_cycles=50,
             plant_params=ConverterParams(v_s=200.0, l_r=2e-5 * (1.0 + 0.2), r_l=3.0 * (1.0 - 0.1),
                                          c_r=1.5e-6),
             model_params=cfg.converter, controller="pi-freq", warmup_cycles=3,
-            warmup_input=ControlInput(90e3, 0.4), correction=False, correction_gain=0.5,
-            correction_start=10, correction_delay=4, correction_cmd_max=3500.0)
+            correction=False, correction_gain=0.5, correction_delay=4, correction_cmd_max=3500.0)
         assert all(type(p) is float for _, p in cfg.scenario.schedule)
 
     @pytest.mark.parametrize("doc", [{}, {"scenario": None}, {"scenario": {}}])
@@ -190,6 +192,37 @@ class TestConfigParsing:
             pass
 
 
+def _readme_config_keys() -> dict:
+    """The keys in the first column of each of README's config tables, by section."""
+    text = README.read_text().split("## Config file", 1)[1].split("\n## ", 1)[0]
+    keys, section = {}, None
+    for line in text.splitlines():
+        m = re.match(r"`(\w+)` \(", line)
+        if m:
+            section = keys.setdefault(m.group(1), set())
+        elif line.startswith("| `") and section is not None:
+            section.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+def test_readme_config_tables_name_every_accepted_key():
+    accepted = {
+        "converter": {f.name for f in fields(ConverterParams)},
+        "nmpc": set(config._NMPC_KEYS),
+        "train": {f.name for f in fields(TrainConfig)},
+        "scenario": {f.name for f in fields(Scenario) if f.name not in config._SCENARIO_DERIVED}
+        | set(config._SCENARIO_EXTRA),
+    }
+    assert _readme_config_keys() == accepted
+    for section, keys in accepted.items():
+        for key in keys:  # known to parse_config: rejected for its value, not as unknown
+            with pytest.raises(ArgumentError) as exc:
+                parse_config({section: {key: None}})
+            assert "unknown" not in str(exc.value)
+        with pytest.raises(ArgumentError, match="unknown"):
+            parse_config({section: {"bogus": None}})
+
+
 class TestSolve:
     def test_prints_solution_json(self, capsys):
         assert main(["solve", "--io", "0", "--vc", "0", "--pdes", "2000"]) == 0
@@ -201,9 +234,9 @@ class TestSolve:
             assert 30e3 <= u["fsw_hz"] <= 100e3
             assert 0.2 <= u["duty"] <= 0.8
 
-    def test_frequency_bound_override(self, capsys):
-        assert main(["solve", "--io", "0", "--vc", "0", "--pdes", "1000",
-                     "--f-min-khz", "60"]) == 0
+    def test_frequency_bound_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"nmpc": {"f_min_hz": 60e3}})
+        assert main(["solve", "--config", cfg, "--io", "0", "--vc", "0", "--pdes", "1000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert all(u["fsw_hz"] >= 60e3 for u in out["inputs"])
 

@@ -3,11 +3,13 @@ receding-horizon behavior, the setpoint-correction rule, and recorded
 outputs the solver must reproduce bit for bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import resonmpc.nmpc as nmpc_mod
 from resonmpc.errors import ArgumentError
 from resonmpc.nmpc import (
     CorrectionState,
@@ -121,11 +123,12 @@ class TestRecedingHorizon:
             assert res.zvs_on_ok and res.zvs_off_ok
         assert p == pytest.approx(2200.0, rel=0.02)
 
-    def test_degraded_step_keeps_last_input(self, params):
+    def test_degraded_step_keeps_last_input(self, params, nmpc_config, monkeypatch):
         # an unreachable setpoint from a hostile state may fail; the
         # controller must then re-apply its previous input
-        cfg = NmpcConfig(max_iterations=1, penalty_max=1e6)
-        ctrl = RecedingHorizonController(cfg, params)
+        monkeypatch.setattr(nmpc_mod, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(nmpc_mod, "PENALTY_MAX", 1e6)
+        ctrl = RecedingHorizonController(nmpc_config, params)
         ctrl.last_input = ControlInput(50e3, 0.5)
         u, status = ctrl.step(PlantState(149.0, -1990.0), 3000.0)
         if status == "degraded":
@@ -134,8 +137,6 @@ class TestRecedingHorizon:
     def test_failed_warm_start_retries_cold(self, params, nmpc_config, monkeypatch):
         # once the controller has history, a warm-started solve that fails
         # must be followed by a cold multi-start, not by the stale input
-        import resonmpc.nmpc as nmpc_mod
-
         ctrl = RecedingHorizonController(nmpc_config, params)
         u0, status = ctrl.step(PlantState(0.0, 0.0), 2000.0)
         assert status == "converged"
@@ -155,6 +156,43 @@ class TestRecedingHorizon:
         cold = real_solve(x1, 2500.0, nmpc_config, params)
         assert u1 == cold.first_input
         assert ctrl.last_solution.first_input == cold.first_input
+
+
+def _tank_at_beta(params, beta):
+    """The tank with R_L set so that its modal beta is beta * 1j (|beta| rad/s)."""
+    return replace(params, r_l=2.0 * params.l_r * math.sqrt(1.0 / (params.l_r * params.c_r)
+                                                             - beta * beta))
+
+
+class TestNearCriticalDamping:
+    """`_Horizon` sums the collocation nodes directly when |beta| < 1e3 rad/s."""
+
+    @staticmethod
+    def points(n=50):
+        rng = np.random.default_rng(0)
+        return np.column_stack([rng.uniform(-150, 0, n), rng.uniform(-2000, 2000, n),
+                                rng.uniform(30e3, 100e3, n), rng.uniform(0.2, 0.8, n)])
+
+    def test_power_continuous_across_threshold(self, params, nmpc_config):
+        direct = _horizon(_tank_at_beta(params, 999.0), nmpc_config)
+        modal = _horizon(_tank_at_beta(params, 1001.0), nmpc_config)
+        assert direct._degenerate and not modal._degenerate
+        for point in self.points():
+            p_direct = direct._on_power_scalar(*point)
+            assert p_direct == pytest.approx(modal._on_power_scalar(*point), rel=1e-6)
+
+    def test_scalar_and_vector_paths_agree(self, params, nmpc_config):
+        horizon = _horizon(_tank_at_beta(params, 999.0), nmpc_config)
+        pts = self.points()
+        vector = horizon._on_power(*pts.T)
+        scalar = [horizon._on_power_scalar(*point) for point in pts]
+        np.testing.assert_allclose(vector, scalar, rtol=1e-12)
+
+    def test_cold_solve_converges_at_critical_damping(self, params, nmpc_config):
+        critical = replace(params, r_l=2.0 * math.sqrt(params.l_r / params.c_r))
+        assert _horizon(critical, nmpc_config)._degenerate
+        sol = solve(PlantState(0.0, 0.0), 1000.0, nmpc_config, critical)
+        assert sol.status == "converged"
 
 
 class TestCorrection:
@@ -235,7 +273,7 @@ def _reference_objective_and_gradient(horizon, z, mu, x0, p_des):
     perturbed rollouts from the unchanged prefix."""
     cfg = horizon.config
     cost_scale = max(1.0, p_des * p_des)
-    reg = cfg.duty_reg * max(1.0, p_des * p_des)
+    reg = nmpc_mod.DUTY_REG * max(1.0, p_des * p_des)
     m = cfg.zvs_margin
 
     def scaled_objective(zz):
@@ -258,8 +296,8 @@ def _reference_objective_and_gradient(horizon, z, mu, x0, p_des):
     g = np.empty_like(z)
     for i in range(z.size):
         zp = z.copy()
-        zp[i] += cfg.fd_rel_step
-        g[i] = (scaled_objective(zp) - f0) / cfg.fd_rel_step
+        zp[i] += nmpc_mod.FD_REL_STEP
+        g[i] = (scaled_objective(zp) - f0) / nmpc_mod.FD_REL_STEP
     return f0, g
 
 

@@ -278,6 +278,7 @@ def _reference_train(data, cfg, net):
     m_b, v_b = [np.zeros_like(q) for q in b], [np.zeros_like(q) for q in b]
     history = {"train": [], "val": []}
     best = (np.inf, [q.copy() for q in w], [q.copy() for q in b])
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's published defaults
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(x_tr.shape[0])
@@ -286,16 +287,16 @@ def _reference_train(data, cfg, net):
             idx = order[lo:lo + cfg.batch_size]
             g_w, g_b = _reference_gradients(cur, x_tr[idx], u_tr[idx], cfg.huber_delta)
             t += 1
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
+            bc1 = 1.0 - beta1**t
+            bc2 = 1.0 - beta2**t
             for l in range(len(w)):
                 for p, g, m, v in ((w[l], g_w[l], m_w[l], v_w[l]),
                                    (b[l], g_b[l], m_b[l], v_b[l])):
-                    m *= cfg.beta1
-                    m += (1.0 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1.0 - cfg.beta2) * g * g
-                    p -= cfg.step_size * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+                    m *= beta1
+                    m += (1.0 - beta1) * g
+                    v *= beta2
+                    v += (1.0 - beta2) * g * g
+                    p -= cfg.step_size * (m / bc1) / (np.sqrt(v / bc2) + eps)
         cur = replace(net, weights=tuple(w), biases=tuple(b))
         tr_loss = _reference_loss(cur, x_tr, u_tr, cfg.huber_delta)
         history["train"].append(tr_loss)

@@ -36,7 +36,7 @@ from resonmpc.quant import (
 )
 
 
-def small_qnet(seed=0, word_bits=16):
+def small_qnet(seed=0):
     net = init_network(seed=seed)
     rng = np.random.default_rng(seed)
     calib = np.column_stack([
@@ -44,7 +44,7 @@ def small_qnet(seed=0, word_bits=16):
         rng.uniform(-2000, 2000, 500),
         rng.uniform(0, 3000, 500),
     ])
-    return net, calib, quantize(net, calib, word_bits=word_bits)
+    return net, calib, quantize(net, calib)
 
 
 def ref_rne_rshift(v, shift):
@@ -59,8 +59,8 @@ def ref_rne_rshift(v, shift):
     return q + up.astype(np.int64)
 
 
-def ref_saturate(v, word_bits):
-    limit = np.int64(2 ** (word_bits - 1) - 1)
+def ref_saturate(v):
+    limit = np.int64(2**15 - 1)
     clipped = np.clip(v, -limit - 1, limit)
     return clipped, int(np.count_nonzero(clipped != v))
 
@@ -87,7 +87,7 @@ def ref_forward_q_core(qnet, x):
     """Reference integer forward pass, every constant worked out per call and op by op."""
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     xn = 2.0 * (x - qnet.input_lo) / (qnet.input_hi - qnet.input_lo) - 1.0
-    limit = np.int64(2 ** (qnet.word_bits - 1) - 1)
+    limit = np.int64(2**15 - 1)
     a = np.clip(np.rint(xn * 2**qnet.input_frac), -limit - 1, limit).astype(np.int64)
     a_frac = qnet.input_frac
     for l in range(qnet.n_layers):
@@ -99,7 +99,7 @@ def ref_forward_q_core(qnet, x):
             bias = ref_rne_rshift(qnet.bias_words[l], qnet.bias_fracs[l] - acc_frac)
         acc = acc + bias
         z = ref_rne_rshift(acc, acc_frac - qnet.preact_fracs[l])
-        z, saturations = ref_saturate(z, qnet.word_bits)
+        z, saturations = ref_saturate(z)
         if l < qnet.n_layers - 1:
             a = ref_tanh_lookup(z, qnet.preact_fracs[l], qnet.tanh_table)
             a_frac = TANH_FRAC
@@ -145,25 +145,25 @@ class TestRounding:
         scaled = x * 2**frac
         if abs(scaled) >= 2**15 - 1:
             return
-        got = int(_quantize_array(np.array([x]), frac, 16)[0])
+        got = int(_quantize_array(np.array([x]), frac)[0])
         lo = int(np.floor(scaled))
         assert got in (lo, lo + 1)
         assert abs(got - scaled) <= 0.5 + 1e-9
 
     def test_quantize_array_overflow_rejected(self):
         with pytest.raises(QuantizationError):
-            _quantize_array(np.array([100.0]), 12, 16)
+            _quantize_array(np.array([100.0]), 12)
 
     def test_frac_bits_examples(self):
         # max_abs 1.0 -> 1 integer bit + sign -> 14 fractional bits
-        assert _frac_bits(1.0, 16) == 14
-        assert _frac_bits(0.999, 16) == 14
-        assert _frac_bits(3.0, 16) == 12
-        assert _frac_bits(0.0, 16) == 15
+        assert _frac_bits(1.0) == 14
+        assert _frac_bits(0.999) == 14
+        assert _frac_bits(3.0) == 12
+        assert _frac_bits(0.0) == 15
 
     def test_frac_bits_representable(self):
         for m in [0.01, 0.5, 1.0, 7.3, 300.0, 3.2e4]:
-            f = _frac_bits(m, 16)
+            f = _frac_bits(m)
             assert abs(np.rint(m * 2**f)) < 2**15
 
 
@@ -195,12 +195,17 @@ class TestQuantize:
             assert np.all(np.abs(w) < limit)
 
     @pytest.mark.parametrize("word_bits", [32, 40])
-    def test_words_float64_cannot_hold_exactly_rejected(self, word_bits):
-        # the input layer's worst-case accumulator, at least
-        # 2**(2 * word_bits - 4), reaches 2**53; 8 to 24 bits build in
-        # TestMatchesReference.test_small_network_at_word_width
-        with pytest.raises(QuantizationError, match="layer 0"):
-            small_qnet(word_bits=word_bits)
+    def test_words_float64_cannot_hold_exactly_rejected(self, tmp_path, word_bits):
+        # at these widths the input layer's worst-case accumulator, at least
+        # 2**(2 * word_bits - 4), reaches 2**53; words are 16 bits, so such
+        # a network can only come from a file, and the loader refuses it
+        path = tmp_path / "q.json"
+        save_quantized(small_qnet()[2], path)
+        doc = json.loads(path.read_text())
+        doc["word_bits"] = word_bits
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArgumentError, match="word_bits is not 16"):
+            load_quantized(path)
 
     def test_weight_words_match_float_weights(self):
         net, _, qnet = small_qnet()
@@ -257,16 +262,6 @@ class TestForwardQ:
         rel = np.abs(u_q - u_f) / half
         assert rel.max() < 0.05
 
-    def test_wider_words_reduce_deviation(self):
-        net, calib, q16 = small_qnet(seed=2)
-        q24 = quantize(net, calib, word_bits=24)
-        u_f = forward_batch(net, calib)
-        half = np.array([35e3, 0.3])
-        d16 = np.abs(forward_q_batch(q16, calib) - u_f) / half
-        d24 = np.abs(forward_q_batch(q24, calib) - u_f) / half
-        assert d24.max() < d16.max()
-        assert d24.mean() < d16.mean()
-
 
 class TestMatchesReference:
     """The planned path gives the reference's bits, outputs and saturation count."""
@@ -287,11 +282,9 @@ class TestMatchesReference:
         sat = self.assert_matches(trained_net, trained_qnet, wide_box_points(10_000, 11))
         assert sat > 0  # the wide box drives output words into saturation
 
-    @pytest.mark.parametrize("word_bits", [8, 12, 16, 17, 24, 27])
-    def test_small_network_at_word_width(self, word_bits):
-        net, _, qnet = small_qnet(seed=4, word_bits=word_bits)
-        assert (qnet.plan.activation is None) == (word_bits >= 17)  # 2**17 entries: 1 MB
-        self.assert_matches(net, qnet, wide_box_points(10_000, word_bits, widen=40.0))
+    def test_small_network(self):
+        net, _, qnet = small_qnet(seed=4)
+        self.assert_matches(net, qnet, wide_box_points(10_000, 16, widen=40.0))
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 10_001])
     def test_row_blocks(self, trained_qnet, n):
@@ -316,38 +309,9 @@ class TestMatchesReference:
         frac = trained_qnet.preact_fracs[0]
         z = np.arange(-(2**15), 2**15, dtype=np.int64)
         want = ref_tanh_lookup(z, frac, trained_qnet.tanh_table)
+        assert trained_qnet.plan.activation.dtype == float
         np.testing.assert_array_equal(trained_qnet.plan.activation, want)
-        # the interpolation that builds the table; accumulator values
-        # beyond the word saturate before the lookup
-        z = np.concatenate([z, [-(2**40), -(2**15) - 1, 2**15, 2**40]])
-        got = _tanh_words(z.astype(float), trained_qnet.plan)
-        want = ref_tanh_lookup(ref_saturate(z, 16)[0], frac, trained_qnet.tanh_table)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("word_bits", [8, 12, 16])
-    def test_activation_table_on_every_word(self, word_bits):
-        _, _, qnet = small_qnet(word_bits=word_bits)
-        z = np.arange(-(2 ** (word_bits - 1)), 2 ** (word_bits - 1), dtype=np.int64)
-        want = ref_tanh_lookup(z, qnet.preact_fracs[0], qnet.tanh_table)
-        assert qnet.plan.activation.dtype == float
-        np.testing.assert_array_equal(qnet.plan.activation, want)
-
-    def test_activation_at_24_bits(self):
-        _, _, qnet = small_qnet(word_bits=24)
-        assert qnet.plan.activation is None  # 2**24 entries would take 128 MB
-        rng = np.random.default_rng(24)
-        z = np.concatenate([rng.integers(-(2**24), 2**24, 200_000),
-                            np.arange(-(2**23) - 3, -(2**23) + 3000),
-                            np.arange(2**23 - 3000, 2**23 + 3)])
-        got = _tanh_words(z.astype(float), qnet.plan)
-        want = ref_tanh_lookup(ref_saturate(z, 24)[0], qnet.preact_fracs[0], qnet.tanh_table)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("word_bits", [26, 27])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wide_words_build(self, seed, word_bits):
-        _, _, qnet = small_qnet(seed=seed, word_bits=word_bits)
-        assert qnet.plan.activation is None
+        np.testing.assert_array_equal(_tanh_words(trained_qnet.tanh_table), want)
 
     @pytest.mark.parametrize("bias_word", [2**14 - 1, 2**15 - 1])
     def test_table_only_where_its_index_is_exact(self, bias_word):
@@ -355,7 +319,7 @@ class TestMatchesReference:
         # bias aligned 38 bits to the left, and requantizes by 17 bits.  At
         # the larger bias its worst-case accumulator is 2**53 - 2**27.5,
         # which float64 holds, but adding the table offset 2**15 * 2**17
-        # would pass 2**53, so that plan interpolates instead.
+        # would pass 2**53, so the plan refuses that network.
         net = init_network(seed=0)
         rng = np.random.default_rng(bias_word)
         qnet = QuantizedNetwork(
@@ -366,13 +330,15 @@ class TestMatchesReference:
             weight_fracs=(15, 15, 15),
             bias_fracs=(15, -8, 15),
             input_frac=14,
-            preact_fracs=_preact_fracs(16, 3),
+            preact_fracs=_preact_fracs(3),
             tanh_table=_build_tanh_table(),
-            word_bits=16,
             input_lo=net.input_lo, input_hi=net.input_hi,
             output_lo=net.output_lo, output_hi=net.output_hi,
         )
-        assert (qnet.plan.activation is None) == (bias_word == 2**15 - 1)
+        if bias_word == 2**15 - 1:
+            with pytest.raises(QuantizationError, match="layer 1"):
+                qnet.plan  # noqa: B018
+            return
         x = wide_box_points(3000, 5, widen=3.0)
         u_ref, sat_ref = ref_forward_q_core(qnet, x)
         u, sat = _forward_q_core(qnet, x)
