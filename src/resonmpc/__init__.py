@@ -1,10 +1,10 @@
 """Closed-loop control toolkit for a half-bridge series resonant inverter.
 
-Modules: plant (exact switched-linear simulation), transform (scaled-time
-collocation model), nmpc (receding-horizon power tracking with soft-
-switching constraints), policy (neural approximation of the control law),
-quant (fixed-point inference emulation), harness (scenario runner,
-metrics, benchmark campaigns) and cli (command-line front end).
+Modules: plant (exact switched-linear simulation), transform (the Radau
+grid of the solver's power rule), nmpc (receding-horizon power tracking
+with soft-switching constraints), policy (neural approximation of the
+control law), quant (fixed-point inference emulation), harness (scenario
+runner, metrics, benchmark campaigns) and cli (command-line front end).
 """
 
 from .errors import (
@@ -21,9 +21,7 @@ from .plant import (
     ConverterParams,
     CycleResult,
     PlantState,
-    derive_resonance,
     simulate_cycle,
-    steady_state_cycle,
 )
 from .policy import Dataset, PolicyNetwork, TrainConfig, forward, train
 from .quant import QuantizedNetwork, forward_q, quantize
@@ -40,9 +38,7 @@ __all__ = [
     "ConverterParams",
     "CycleResult",
     "PlantState",
-    "derive_resonance",
     "simulate_cycle",
-    "steady_state_cycle",
     "NmpcConfig",
     "NmpcSolution",
     "RecedingHorizonController",

@@ -2,9 +2,10 @@
 
 Subcommands cover the whole workflow: simulate a closed-loop scenario,
 solve a single horizon problem, generate training data, train and
-quantize the policy network, and run the benchmark campaigns.  Exit
-codes: 0 success, 1 argument or config error, 2 numeric failure, 3 a
-gated benchmark threshold was missed (for CI use).
+quantize the policy network, and run the random-setpoint campaign and
+the parameter-error grid.  Exit codes: 0 success, 1 argument or config
+error, 2 numeric failure, 3 a gated benchmark threshold was missed (for
+CI use).
 """
 
 from __future__ import annotations
@@ -202,19 +203,6 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pi_tune(args) -> int:
-    cfg = _load_app_config(args)
-    best = harness.pi_tune(
-        args.kind,
-        cfg.converter,
-        nmpc_config=cfg.nmpc,
-        p_des=args.pdes,
-        pi_fixed_freq=args.fixed_freq_khz * 1e3,
-    )
-    print(json.dumps(best, indent=2))
-    return EXIT_OK
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="resonmpc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -292,14 +280,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--gate-error-w", type=float,
                     help="fail (exit 3) if worst steady-state error reaches this [W]")
     sp.set_defaults(func=_cmd_grid)
-
-    sp = sub.add_parser("pi-tune", help="scan PI gains for a baseline controller")
-    add_config(sp)
-    sp.add_argument("kind", choices=["pi-freq", "pi-duty"])
-    sp.add_argument("--pdes", type=float, default=2000.0, help="tuning setpoint [W]")
-    sp.add_argument("--fixed-freq-khz", type=float, default=31.0,
-                    help="fixed switching frequency for pi-duty")
-    sp.set_defaults(func=_cmd_pi_tune)
     return p
 
 

@@ -136,7 +136,8 @@ class _Horizon:
     """
 
     def __init__(self, params: ConverterParams, config: NmpcConfig):
-        from .transform import collocation_grid  # local import, no cycle at runtime
+        # looked up per call, so a wrapper set on transform.collocation_grid sees it
+        from .transform import collocation_grid
 
         self.params = params
         self.config = config

@@ -22,11 +22,8 @@ __all__ = [
     "ControlInput",
     "CycleResult",
     "SegmentPropagator",
-    "derive_resonance",
     "perturbed_params",
-    "propagate_segment",
     "simulate_cycle",
-    "steady_state_cycle",
 ]
 
 
@@ -62,9 +59,6 @@ class PlantState:
 
     i_o: float
     v_c: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i_o, self.v_c], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,11 +125,6 @@ class CycleResult:
         return trace
 
 
-def derive_resonance(params: ConverterParams) -> float:
-    """Resonant frequency 1/(2*pi*sqrt(l_r*c_r)) in Hz."""
-    return 1.0 / (2.0 * math.pi * math.sqrt(params.l_r * params.c_r))
-
-
 def perturbed_params(params: ConverterParams, rng, error: float) -> ConverterParams:
     """Load resistance and inductance scaled by independent U[1-e, 1+e] draws.
 
@@ -191,10 +180,6 @@ class SegmentPropagator:
         dv = v0 - v_applied
         return (p11 * i0 + p12 * dv, p21 * i0 + p22 * dv + v_applied)
 
-    def matrix(self, dt: float) -> np.ndarray:
-        p11, p12, p21, p22 = self._phi(dt)
-        return np.array([[p11, p12], [p21, p22]])
-
     def step_array(self, i0, v0, v_applied, dt):
         """Vectorized `step`; all arguments broadcast as numpy arrays."""
         dt = np.asarray(dt, dtype=float)
@@ -211,22 +196,6 @@ class SegmentPropagator:
         p22 = e * (ch - s * a).real
         dv = v0 - v_applied
         return (p11 * i0 + p12 * dv, p21 * i0 + p22 * dv + v_applied)
-
-
-def propagate_segment(
-    x0: PlantState, params: ConverterParams, v_applied: float, duration: float
-) -> PlantState:
-    """Exact solution of the tank dynamics after `duration` seconds.
-
-    `v_applied` is the constant half-bridge output voltage over the segment
-    (v_s during ON, 0 during OFF; any finite value is accepted).
-    """
-    if duration < 0:
-        raise ArgumentError(f"duration must be non-negative, got {duration}")
-    if not math.isfinite(v_applied):
-        raise ArgumentError(f"v_applied must be finite, got {v_applied}")
-    i, v = SegmentPropagator(params).step(x0.i_o, x0.v_c, v_applied, duration)
-    return PlantState(i, v)
 
 
 def simulate_cycle(
@@ -256,22 +225,3 @@ def simulate_cycle(
         zvs_off_ok=i_mid >= 0.0,
         _sampling=(x0, params, u, n_trace),
     )
-
-
-def steady_state_cycle(params: ConverterParams, u: ControlInput) -> PlantState:
-    """Periodic steady-state start-of-cycle state for a constant input.
-
-    The cycle map is affine, x_end = M x0 + d, so the fixed point is the
-    solution of (I - M) x = d.
-    """
-    prop = SegmentPropagator(params)
-    phi_on = prop.matrix(u.on_time)
-    phi_off = prop.matrix(u.off_time)
-    e_on = np.array([0.0, params.v_s])
-    m = phi_off @ phi_on
-    d = phi_off @ (e_on - phi_on @ e_on)
-    try:
-        x = np.linalg.solve(np.eye(2) - m, d)
-    except np.linalg.LinAlgError as exc:  # undamped tank at exact resonance
-        raise NumericError("cycle map has no unique fixed point") from exc
-    return PlantState(float(x[0]), float(x[1]))

@@ -356,7 +356,6 @@ def quantization_report(
         "mean_rel_deviation": rel.mean(axis=0).tolist(),
         "saturation_events": int(saturations),
         "weight_range_utilization": utilization,
-        "word_bits": WORD_BITS,
     }
 
 

@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (
+    SwitchingSchedule,
+    predict_interval,
+    steady_state_cycle,
+    t_of_tau,
+    tau_of_t,
+)
 from resonmpc.harness import run_benchmark, run_param_grid
 from resonmpc.nmpc import COLLOC_DEGREE, COLLOC_ELEMENTS, brute_force_oracle, solve
-from resonmpc.plant import (
-    ControlInput,
-    PlantState,
-    SegmentPropagator,
-    simulate_cycle,
-    steady_state_cycle,
-)
+from resonmpc.plant import ControlInput, PlantState, SegmentPropagator, simulate_cycle
 from resonmpc.policy import (
     Dataset,
     TrainConfig,
@@ -30,13 +31,7 @@ from resonmpc.policy import (
     train,
 )
 from resonmpc.quant import forward_q_batch, quantization_report
-from resonmpc.transform import (
-    SwitchingSchedule,
-    collocation_grid,
-    predict_interval,
-    t_of_tau,
-    tau_of_t,
-)
+from resonmpc.transform import collocation_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -2,6 +2,7 @@
 files and exit codes, exercised through main() in-process.
 """
 
+import argparse
 import csv
 import json
 import re
@@ -13,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonmpc import config
-from resonmpc.cli import main
+from resonmpc.cli import _build_parser, main
 from resonmpc.config import DEFAULT_CONVERTER, AppConfig, parse_config
 from resonmpc.errors import ArgumentError
 from resonmpc.harness import TRACE_COLUMNS, Scenario
 from resonmpc.plant import ConverterParams
 from resonmpc.policy import Dataset, TrainConfig, load_network
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+README = REPO_ROOT / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -111,6 +113,8 @@ _MALFORMED_SCENARIO_VALUES = [
     {"schedule": [[5, 2000.0, 1]]}, {"schedule": [5, 2000.0]}, {"controller": 3},
     {"schedule": [[5, float("nan")]]}, {"correction_delay": 2.5},
     {"l_error": -1.0}, {"r_error": -1.5}, {"schedule": []},
+    {"correction_gain": 1.5}, {"correction_gain": 0.0}, {"correction_delay": -3},
+    {"correction_cmd_max": -10}, {"schedule": [[5, -100.0]]},
 ]
 
 
@@ -223,6 +227,14 @@ def test_readme_config_tables_name_every_accepted_key():
             parse_config({section: {"bogus": None}})
 
 
+def test_readme_quick_start_names_every_subcommand():
+    text = README.read_text().split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^resonmpc ([\w-]+)", text, flags=re.MULTILINE))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
+
+
 class TestSolve:
     def test_prints_solution_json(self, capsys):
         assert main(["solve", "--io", "0", "--vc", "0", "--pdes", "2000"]) == 0
@@ -311,8 +323,18 @@ class TestDataTrainQuantize:
         assert main(["quantize", "--net", str(net_path), "--out", str(q_path),
                      "--report-out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        assert report["word_bits"] == 16
         assert report["n_samples"] == 10000
+
+    def test_diverging_train_is_numeric_failure(self, tmp_path, capsys):
+        rows = (REPO_ROOT / "artifacts" / "train_random.csv").read_text().splitlines()[:41]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {"train": {"epochs": 3, "step_size": 1e200}})
+        rc = main(["train", "--config", cfg, "--data", str(data),
+                   "--out", str(tmp_path / "net.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: training loss became non-finite at epoch 0")
 
     def test_train_missing_data_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "none.csv"),
@@ -337,6 +359,12 @@ class TestBenchAndGrid:
         assert rc == 3
         assert "gate failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_runs", ["0", "-1"])
+    def test_bench_without_runs_is_argument_error(self, capsys, n_runs):
+        rc = main(["bench", "--controllers", "pi-freq", "--n-runs", n_runs])
+        assert rc == 1
+        assert "n_runs must be >= 1" in capsys.readouterr().err
+
     def test_bench_gate_ratio_requires_reference(self, capsys, artifact_paths):
         rc = main(["bench", "--controllers", "dnn", "--net",
                    str(artifact_paths["policy"]), "--n-runs", "1",
@@ -360,14 +388,3 @@ class TestBenchAndGrid:
             max(c["zvs_violation_pct"] for c in cells),
             100 * worst["r_error"], 100 * worst["l_error"], worst["p_des_w"],
             worst["steady_state_error_w"], worst["zvs_violation_pct"]], abs=5e-4)
-
-    def test_pi_tune_impossible_setpoint_is_numeric_failure(self, capsys):
-        # no gain reaches a power beyond the converter's capability
-        rc = main(["pi-tune", "pi-freq", "--pdes", "5000"])
-        assert rc == 2
-        assert "numeric failure" in capsys.readouterr().err
-
-    def test_pi_tune_prints_gains(self, capsys):
-        assert main(["pi-tune", "pi-freq"]) == 0
-        best = json.loads(capsys.readouterr().out)
-        assert best["kp"] > 0 and best["ki"] > 0

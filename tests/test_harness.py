@@ -19,7 +19,6 @@ from resonmpc.harness import (
     Scenario,
     compute_metrics,
     generate_dataset_closed_loop,
-    pi_tune,
     run_benchmark,
     run_closed_loop,
     run_param_grid,
@@ -253,17 +252,6 @@ class TestClosedLoopDataset:
         # the first label is a cold solve at the first post-warmup state
         first = solve(PlantState(*data.x[0, :2]), data.x[0, 2], nmpc_config, params)
         assert tuple(data.u[0]) == (first.first_input.f_sw, first.first_input.duty)
-
-
-class TestPiTune:
-    def test_returns_settling_gains(self, params):
-        best = pi_tune("pi-freq", params, cycles=30)
-        assert best["kp"] > 0 and best["ki"] > 0
-        assert 0 <= best["settling_cycles"] <= 30
-
-    def test_bad_kind_rejected(self, params):
-        with pytest.raises(ArgumentError):
-            pi_tune("pid", params)
 
 
 # sha256 of write_trace_csv's bytes for one run of each controller kind,

@@ -349,7 +349,8 @@ class TestReport:
     def test_report_fields_and_bounds(self, trained_net, trained_qnet, sampling_box_points):
         rep = quantization_report(trained_net, trained_qnet, sampling_box_points)
         assert rep["n_samples"] == 10000
-        assert rep["word_bits"] == 16
+        assert set(rep) == {"n_samples", "max_rel_deviation", "mean_rel_deviation",
+                            "saturation_events", "weight_range_utilization"}
         assert len(rep["max_rel_deviation"]) == 2
         assert all(m >= 0 for m in rep["max_rel_deviation"])
         assert all(
