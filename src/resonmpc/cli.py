@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take non-negative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_app_config(args) -> AppConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -235,7 +242,7 @@ def _build_parser() -> _Parser:
         "--plant-error", type=float, default=0.0,
         help="per-trajectory uniform R/L perturbation (trajectory kind)",
     )
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="dataset CSV path")
     sp.set_defaults(func=_cmd_gen_data)
 
@@ -251,7 +258,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", required=True, help="quantized network JSON path")
     sp.add_argument("--calib", help="calibration dataset CSV (default: sampled box)")
     sp.add_argument("--report-out", help="accuracy report JSON path")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=_cmd_quantize)
 
     sp = sub.add_parser("bench", help="random-setpoint benchmark campaign")
@@ -263,7 +270,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n-runs", type=int, default=100)
     sp.add_argument("--param-error", type=float, default=0.0,
                     help="uniform relative error applied to plant R and L")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", help="summary JSON path")
     sp.add_argument("--gate-ratio", type=float,

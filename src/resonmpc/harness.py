@@ -467,39 +467,46 @@ def generate_dataset_closed_loop(
     scenarios,
     nmpc_config: Optional[NmpcConfig] = None,
     net: Optional[PolicyNetwork] = None,
-    seed: int = 0,
 ) -> Dataset:
-    """States a policy visits in closed-loop scenarios, labeled by the solver.
+    """States a controller visits in closed-loop scenarios, labeled by the solver.
 
     Each scenario runs exactly as in `run_closed_loop`, setpoint steps,
-    parameter error and setpoint correction included.  A receding-horizon
-    observer on the scenario's model parameters then solves at every
-    post-warmup (state, commanded power) pair in cycle order, warm-started
-    along the run as the exact controller would be.  Its inputs are never
-    applied, so the labels describe what the solver would do in the states
-    the policy steers the plant into (dataset aggregation); degraded solves
-    are discarded.  The scenarios carry all randomness; `seed` is only
-    recorded on the returned dataset.
+    parameter error and setpoint correction included, and every post-warmup
+    (state, commanded power) pair is labeled.  In an `exact-nmpc` scenario
+    the label is the input the solver applied ("trajectory"), so nothing is
+    solved twice.  Under any other controller a receding-horizon observer
+    on the scenario's model parameters solves at each pair in cycle order,
+    warm-started along the run as the exact controller would be; its inputs
+    are never applied, so the labels say what the solver would do in the
+    states the policy steers the plant into ("closed-loop", dataset
+    aggregation).  Degraded solves are discarded.  The scenarios carry all
+    randomness, so the dataset's seed is 0.
     """
     cfg = nmpc_config or NmpcConfig()
-    xs, us = [], []
+    xs, us, tags = [], [], []
     discarded = 0
     for sc in scenarios:
         records, _ = run_closed_loop(sc, nmpc_config=cfg, net=net)
+        tag = "trajectory" if sc.controller == "exact-nmpc" else "closed-loop"
         observer = RecedingHorizonController(cfg, sc.model_params)
         for r in records[sc.warmup_cycles:]:
-            state = PlantState(r.io_start_a, r.vc_start_v)
-            label, status = observer.step(state, r.p_des_corrected_w)
+            x = [r.io_start_a, r.vc_start_v, r.p_des_corrected_w]
+            if tag == "trajectory":
+                label, status = [r.fsw_hz, r.duty], r.solver_status
+            else:
+                u, status = observer.step(PlantState(x[0], x[1]), x[2])
+                label = [u.f_sw, u.duty]
             if status != "converged":
                 discarded += 1
                 continue
-            xs.append([state.i_o, state.v_c, r.p_des_corrected_w])
-            us.append([label.f_sw, label.duty])
+            xs.append(x)
+            us.append(label)
+            tags.append(tag)
     return Dataset(
         x=np.array(xs).reshape(-1, 3),
         u=np.array(us).reshape(-1, 2),
-        provenance=("closed-loop",) * len(xs),
-        seed=seed,
+        provenance=tuple(tags),
+        seed=0,
         discarded=discarded,
     )
 

@@ -48,7 +48,7 @@ DEFAULT_INPUT_LO = (-150.0, -2000.0, 0.0)  # i_o [A], v_c [V], p_des [W]
 DEFAULT_INPUT_HI = (150.0, 2000.0, 4000.0)
 
 CSV_COLUMNS = ("io_amps", "vc_volts", "pdes_watts", "fsw_hz", "duty", "provenance")
-PROVENANCES = ("random-state", "trajectory", "rollout", "closed-loop")
+PROVENANCES = ("random-state", "trajectory", "closed-loop")
 # Rows per block of `forward_batch` and of `quant.forward_q_batch`: a
 # block's (rows, 10) temporaries are 80 KB, under glibc's 128 KB mmap
 # threshold, so they are reused from the heap instead of being faulted in
@@ -412,22 +412,18 @@ def _label_draws(
     config: NmpcConfig,
     params: ConverterParams,
     seed: int,
-    input_lo,
-    input_hi,
     plant_error: float,
-    net: Optional[PolicyNetwork],
     tag: str,
 ) -> Dataset:
-    """The labelling loop behind every solver-labeled dataset kind.
+    """The labelling loop behind the box-drawn dataset kinds.
 
     Each draw takes a state and setpoint from the sampling box, then R/L
     factors for the simulated plant when plant_error > 0.  Its first cycle
     is labeled by a cold `solve`, the next steps - 1 by a warm-started
-    `RecedingHorizonController` on the nominal model.  Between cycles the
-    plant advances under the label itself, or under `forward(net, .)` when
-    a network is given (the solver then only observes).  A draw whose cold
-    solve fails is discarded, without solving when its initial current
-    already breaks the ZVS sign rule of `NmpcSolution.initial_state_zvs_ok`;
+    `RecedingHorizonController` on the nominal model, and between cycles
+    the plant advances under the label itself.  A draw whose cold solve
+    fails is discarded, without solving when its initial current already
+    breaks the ZVS sign rule of `NmpcSolution.initial_state_zvs_ok`;
     sampling stops after 10 * n_draws draws.  Degraded warm steps are
     discarded labels.
     """
@@ -436,15 +432,13 @@ def _label_draws(
     if not 0.0 <= plant_error < 1.0:
         raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
     rng = np.random.default_rng(seed)
-    lo = np.asarray(input_lo, dtype=float)
-    hi = np.asarray(input_hi, dtype=float)
     xs, us = [], []
     discarded = 0
     kept = 0
     budget = 10 * n_draws
     while kept < n_draws and budget > 0:
         budget -= 1
-        draw = rng.uniform(lo, hi)
+        draw = rng.uniform(DEFAULT_INPUT_LO, DEFAULT_INPUT_HI)
         state = PlantState(draw[0], draw[1])
         p_des = draw[2]
         plant = perturbed_params(params, rng, plant_error)
@@ -459,8 +453,7 @@ def _label_draws(
         label, status = first.first_input, "converged"
         for k in range(steps):
             if k:
-                applied = label if net is None else forward(net, (state.i_o, state.v_c, p_des))
-                state = simulate_cycle(state, plant, applied).state_end
+                state = simulate_cycle(state, plant, label).state_end
                 label, status = ctrl.step(state, p_des)
             if status != "converged":
                 discarded += 1
@@ -488,8 +481,7 @@ def generate_dataset_random(
     The labelling loop with one cycle per draw: infeasible draws are
     discarded; sampling stops after a 10*n draw budget.
     """
-    return _label_draws(n, 1, config, params, seed, DEFAULT_INPUT_LO, DEFAULT_INPUT_HI,
-                        0.0, None, "random-state")
+    return _label_draws(n, 1, config, params, seed, 0.0, "random-state")
 
 
 def generate_dataset_trajectories(
@@ -498,30 +490,18 @@ def generate_dataset_trajectories(
     config: NmpcConfig,
     params: ConverterParams,
     seed: int = 0,
-    input_lo=DEFAULT_INPUT_LO,
-    input_hi=DEFAULT_INPUT_HI,
     plant_error: float = 0.0,
-    net: Optional[PolicyNetwork] = None,
 ) -> Dataset:
-    """Closed-loop samples: the states a controller drives the plant through.
+    """Samples along the solver's own closed loops from box-drawn starts.
 
     Each trajectory draws an initial state and setpoint from the sampling
-    box and runs `steps` cycles; trajectories whose first solve is
-    infeasible are discarded (same budget rule as random sampling, counted
-    in draws of trajectories).  Without `net` the exact controller applies
-    its own labels ("trajectory").  With `net` the network is applied and
-    the solver labels the states it visits ("rollout"): a network trained
-    only on solver-driven trajectories can settle into spurious closed-loop
-    fixed points of its own, and labeling exactly those states removes them.
-
-    With plant_error > 0 each trajectory is simulated on a plant whose load
-    resistance and tank inductance are scaled by independent uniform factors
-    in [1 - e, 1 + e], while the controller keeps the unperturbed model.
-    The recorded states then cover the operating points a mismatched plant
-    actually steers the policy through, not just the nominal ones.
+    box and runs `steps` cycles, the exact controller applying its own
+    labels; trajectories whose first solve is infeasible are discarded
+    (same budget rule as random sampling, counted in draws of trajectories).
+    With plant_error > 0 each runs on a plant whose R and L are scaled by
+    independent U[1 - e, 1 + e] factors; the controller keeps the model.
     """
-    return _label_draws(n_traj, steps, config, params, seed, input_lo, input_hi,
-                        plant_error, net, "trajectory" if net is None else "rollout")
+    return _label_draws(n_traj, steps, config, params, seed, plant_error, "trajectory")
 
 
 def save_network(net: PolicyNetwork, path):

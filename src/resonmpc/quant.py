@@ -202,13 +202,18 @@ def quantize(net: PolicyNetwork, calibration: np.ndarray) -> QuantizedNetwork:
     accumulator is requantized to a 16-bit pre-activation whose range
     is the domain of its consumer: [-TANH_RANGE, TANH_RANGE) for hidden
     layers (the tanh table) and [-1, 1) for the output layer (the
-    output-box clip).  The input format comes from the calibration inputs.
+    output-box clip).  The input format comes from the calibration inputs;
+    a NaN or infinite one raises ArgumentError naming its row.
     """
     if net.activation != "tanh":
         raise ArgumentError("quantized inference supports tanh hidden layers only")
     calibration = np.asarray(calibration, dtype=float).reshape(-1, 3)
     if calibration.size == 0:
         raise ArgumentError("calibration set must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(calibration).all(axis=1))
+    if bad.size:
+        raise ArgumentError(f"calibration input row {bad[0]} is not finite: "
+                            f"{calibration[bad[0]].tolist()}")
     xn = net.normalize_inputs(calibration)
     input_frac = _frac_bits(float(np.max(np.abs(xn))))
 

@@ -62,6 +62,17 @@ class TestArgumentHandling:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--net", "policy.json", "--out", "q.json"],
+        ["bench", "--controllers", "pi-freq"],
+        ["gen-data", "random", "--out", "data.csv"],
+    ], ids=["quantize", "bench", "gen-data"])
+    def test_negative_seed_is_argument_error(self, capsys, argv):
+        # numpy's generators reject a negative seed with a ValueError of their own
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --seed: must be a non-negative integer, got '-1'\n")
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"nmpc": {"horizon": 10}})
         assert main(["solve", "--config", cfg, "--io", "0", "--vc", "0",

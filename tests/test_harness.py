@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from resonmpc import nmpc
 from resonmpc.errors import ArgumentError
 from resonmpc.harness import (
     CONTROLLER_KINDS,
@@ -25,7 +26,7 @@ from resonmpc.harness import (
     write_summary_json,
     write_trace_csv,
 )
-from resonmpc.nmpc import solve
+from resonmpc.nmpc import RecedingHorizonController, solve
 from resonmpc.plant import ConverterParams, PlantState
 
 
@@ -253,13 +254,38 @@ class TestClosedLoopDataset:
         first = solve(PlantState(*data.x[0, :2]), data.x[0, 2], nmpc_config, params)
         assert tuple(data.u[0]) == (first.first_input.f_sw, first.first_input.duty)
 
+    def test_solver_runs_label_with_their_applied_inputs(self, params, nmpc_config,
+                                                         monkeypatch):
+        sc = make_scenario(params, controller="exact-nmpc",
+                           schedule=((5, 1500.0), (7, 2500.0)), total_cycles=9,
+                           plant_params=replace(params, r_l=params.r_l * 1.1))
+        solved = []
+        inner = nmpc.solve
+
+        def counting(*args, **kwargs):
+            solved.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(nmpc, "solve", counting)
+        data = generate_dataset_closed_loop([sc], nmpc_config)
+        assert (len(data), data.discarded) == (4, 0)
+        assert data.provenance == ("trajectory",) * 4
+        # one solve per post-warmup cycle, at the labelled state
+        assert [(s.i_o, s.v_c) for s in solved] == [tuple(x[:2]) for x in data.x]
+        observer = RecedingHorizonController(nmpc_config, params)
+        for x, u in zip(data.x, data.u):
+            label, status = observer.step(PlantState(x[0], x[1]), x[2])
+            assert status == "converged"
+            assert (label.f_sw, label.duty) == tuple(u)
+
 
 # sha256 of write_trace_csv's bytes for one run of each controller kind,
-# recorded with the hand-written column list the derived one replaced
+# recorded with the hand-written column list the derived one replaced; the
+# network kinds' entries change whenever the shipped networks are rebuilt
 _TRACE_SHA256 = {
     "exact-nmpc": "b8e190b392202ec9f70b64347293fc61e45c66d66a13e71b6a2949987c6afaee",
-    "dnn": "9838c4ea821cd3be552f88efbba6aa03970388ac8781fc1bbeddd7037d96fbb2",
-    "dnn-quant": "321f67ef1b150c33d8a1ad28882dbb1b231c2189e90784de1263104405c26209",
+    "dnn": "e565b5132849462d0d0b5ee7ef837064906b095ebfa674aa81a8c4de1930ccf5",
+    "dnn-quant": "7023e0290a5d9149f88d48a618c52457a35289b2fb735fd77795f01361e54fb0",
     "pi-freq": "9742dc1c18937c8a400a38734f56889432a0ee9a2d6885f4d9cfc854c93160c7",
     "pi-duty": "4bd186757534166c6565a63a291e954dec454cbbdbd11d7aeef38afac8194662",
 }

@@ -180,6 +180,13 @@ class TestQuantize:
         with pytest.raises(ArgumentError):
             quantize(net, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_rejected_naming_the_row(self, value):
+        calib = np.zeros((5, 3))
+        calib[3, 1] = value
+        with pytest.raises(ArgumentError, match="calibration input row 3 is not finite"):
+            quantize(init_network(seed=0), calib)
+
     def test_tanh_table_shape_and_endpoints(self):
         _, _, qnet = small_qnet()
         assert qnet.tanh_table.shape == (TANH_TABLE_SIZE,)
