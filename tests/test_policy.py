@@ -408,8 +408,7 @@ class TestDatasets:
         scenarios = build_artifacts._scenarios(1, "exact-nmpc", params, seed=0)
         data = generate_dataset_closed_loop(scenarios, NmpcConfig())
         n = len(data)
-        assert n + data.discarded == build_artifacts.CORRECTED_CYCLES + 3 * (
-            build_artifacts.STEP_CYCLES)
+        assert n == 75  # three 5-cycle setpoints and 60 corrected cycles, none discarded
         np.testing.assert_array_equal(data.x, trajectory_dataset.x[:n])
         np.testing.assert_array_equal(data.u, trajectory_dataset.u[:n])
         assert data.provenance == trajectory_dataset.provenance[:n]
