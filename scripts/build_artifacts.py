@@ -54,6 +54,7 @@ from resonmpc.policy import (
     generate_dataset_random,
     init_network,
     load_network,
+    sampling_box,
     save_network,
     train,
 )
@@ -164,12 +165,7 @@ def main():
         # calibration spans the sampling box plus setpoint headroom, since
         # the correction rule can command powers above the nominal 3000 W
         # ceiling
-        rng = np.random.default_rng(3)
-        calib = np.column_stack([
-            rng.uniform(-150.0, 150.0, 4000),
-            rng.uniform(-2000.0, 2000.0, 4000),
-            rng.uniform(0.0, 4000.0, 4000),
-        ])
+        calib = sampling_box(4000, seed=3)
         qnet = quantize(net, calib)
         save_quantized(qnet, q_path)
         report = quantization_report(net, qnet, calib)

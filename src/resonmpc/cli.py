@@ -15,8 +15,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import harness, policy, quant
 from .config import AppConfig, load_config, parse_config
 from .errors import ArgumentError, NumericError, ResonMpcError
@@ -47,15 +45,6 @@ def _load_app_config(args) -> AppConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     return parse_config({})
-
-
-def _sampling_box(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.column_stack([
-        rng.uniform(policy.DEFAULT_INPUT_LO[0], policy.DEFAULT_INPUT_HI[0], n),
-        rng.uniform(policy.DEFAULT_INPUT_LO[1], policy.DEFAULT_INPUT_HI[1], n),
-        rng.uniform(policy.DEFAULT_INPUT_LO[2], policy.DEFAULT_INPUT_HI[2], n),
-    ])
 
 
 def _cmd_simulate(args) -> int:
@@ -128,10 +117,10 @@ def _cmd_quantize(args) -> int:
     if args.calib:
         calib = policy.Dataset.load_csv(args.calib).x
     else:
-        calib = _sampling_box(10000, args.seed)
+        calib = policy.sampling_box(10000, args.seed)
     qnet = quant.quantize(net, calib)
     quant.save_quantized(qnet, args.out)
-    report = quant.quantization_report(net, qnet, _sampling_box(10000, args.seed + 1))
+    report = quant.quantization_report(net, qnet, policy.sampling_box(10000, args.seed + 1))
     if args.report_out:
         harness.write_summary_json(report, args.report_out)
     print(json.dumps(report, indent=2))

@@ -27,7 +27,7 @@ from .nmpc import (
     apply_correction,
 )
 from .plant import ControlInput, ConverterParams, PlantState, perturbed_params, simulate_cycle
-from .policy import Dataset, PolicyNetwork, forward
+from .policy import DEFAULT_INPUT_HI, DEFAULT_INPUT_LO, Dataset, PolicyNetwork, forward
 from .quant import QuantizedNetwork, forward_q
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "run_benchmark",
     "run_param_grid",
     "generate_dataset_closed_loop",
+    "generate_dataset_box_draws",
     "write_trace_csv",
     "write_summary_json",
 ]
@@ -463,6 +464,35 @@ def run_param_grid(
             "cells": cells}
 
 
+def _labelled_cycles(sc: Scenario, cfg: NmpcConfig, net=None, x0=PlantState(0.0, 0.0)):
+    """(state and command, label, status) per post-warmup cycle of one run
+    of sc from x0, labeled as `generate_dataset_closed_loop` describes."""
+    records, _ = run_closed_loop(sc, nmpc_config=cfg, net=net, x0=x0)
+    observer = RecedingHorizonController(cfg, sc.model_params)
+    cycles = []
+    for r in records[sc.warmup_cycles:]:
+        x = [r.io_start_a, r.vc_start_v, r.p_des_corrected_w]
+        if sc.controller == "exact-nmpc":
+            label, status = [r.fsw_hz, r.duty], r.solver_status
+        else:
+            u, status = observer.step(PlantState(x[0], x[1]), x[2])
+            label = [u.f_sw, u.duty]
+        cycles.append((x, label, status))
+    return cycles
+
+
+def _dataset(cycles, discarded_draws: int = 0) -> Dataset:
+    """The converged ones of (state and command, label, status, provenance)
+    cycles; the others count as discarded, after the discarded draws."""
+    rows = [c for c in cycles if c[2] == "converged"]
+    return Dataset(
+        x=np.array([r[0] for r in rows]).reshape(-1, 3),
+        u=np.array([r[1] for r in rows]).reshape(-1, 2),
+        provenance=tuple(r[3] for r in rows),
+        discarded=discarded_draws + len(cycles) - len(rows),
+    )
+
+
 def generate_dataset_closed_loop(
     scenarios,
     nmpc_config: Optional[NmpcConfig] = None,
@@ -479,36 +509,60 @@ def generate_dataset_closed_loop(
     warm-started along the run as the exact controller would be; its inputs
     are never applied, so the labels say what the solver would do in the
     states the policy steers the plant into ("closed-loop", dataset
-    aggregation).  Degraded solves are discarded.  The scenarios carry all
-    randomness, so the dataset's seed is 0.
+    aggregation).  Degraded solves are discarded.
     """
     cfg = nmpc_config or NmpcConfig()
-    xs, us, tags = [], [], []
-    discarded = 0
+    cycles = []
     for sc in scenarios:
-        records, _ = run_closed_loop(sc, nmpc_config=cfg, net=net)
         tag = "trajectory" if sc.controller == "exact-nmpc" else "closed-loop"
-        observer = RecedingHorizonController(cfg, sc.model_params)
-        for r in records[sc.warmup_cycles:]:
-            x = [r.io_start_a, r.vc_start_v, r.p_des_corrected_w]
-            if tag == "trajectory":
-                label, status = [r.fsw_hz, r.duty], r.solver_status
-            else:
-                u, status = observer.step(PlantState(x[0], x[1]), x[2])
-                label = [u.f_sw, u.duty]
-            if status != "converged":
-                discarded += 1
-                continue
-            xs.append(x)
-            us.append(label)
-            tags.append(tag)
-    return Dataset(
-        x=np.array(xs).reshape(-1, 3),
-        u=np.array(us).reshape(-1, 2),
-        provenance=tuple(tags),
-        seed=0,
-        discarded=discarded,
-    )
+        cycles += [(*c, tag) for c in _labelled_cycles(sc, cfg, net)]
+    return _dataset(cycles)
+
+
+def generate_dataset_box_draws(
+    n_draws: int,
+    steps: int,
+    config: NmpcConfig,
+    params: ConverterParams,
+    seed: int,
+    plant_error: float,
+    tag: str,
+) -> Dataset:
+    """The box-drawn dataset kinds, as one-segment `exact-nmpc` scenarios.
+
+    Each draw takes a state and setpoint from the sampling box, then R/L
+    factors for the simulated plant when plant_error > 0.  It runs `steps`
+    cycles from that state at that setpoint with no warm-up, the solver on
+    the nominal model: a cold solve labels the first cycle, warm-started
+    steps the later ones.  A draw whose initial current breaks the ZVS sign
+    rule of `NmpcSolution.initial_state_zvs_ok` is discarded without
+    running, and one whose first cycle does not converge is discarded
+    whole; sampling stops after 10 * n_draws draws.  Degraded later cycles
+    are discarded labels.
+    """
+    if n_draws < 1 or steps < 1:
+        raise ArgumentError("the number of draws and steps must be >= 1")
+    if not 0.0 <= plant_error < 1.0:
+        raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
+    rng = np.random.default_rng(seed)
+    cycles, discarded, kept = [], 0, 0
+    for _ in range(10 * n_draws):
+        if kept == n_draws:
+            break
+        draw = rng.uniform(DEFAULT_INPUT_LO, DEFAULT_INPUT_HI)
+        plant = perturbed_params(params, rng, plant_error)
+        run = []
+        if draw[0] <= config.constraint_tol:  # as NmpcSolution.initial_state_zvs_ok
+            sc = Scenario(schedule=((0, float(draw[2])),), total_cycles=steps,
+                          plant_params=plant, model_params=params,
+                          controller="exact-nmpc", warmup_cycles=0)
+            run = _labelled_cycles(sc, config, x0=PlantState(draw[0], draw[1]))
+        if not run or run[0][2] != "converged":
+            discarded += 1
+            continue
+        kept += 1
+        cycles += [(*c, tag) for c in run]
+    return _dataset(cycles, discarded)
 
 
 def write_trace_csv(records, path):

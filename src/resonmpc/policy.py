@@ -19,8 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, TrainingDivergenceError
-from .nmpc import NmpcConfig, RecedingHorizonController, solve
-from .plant import ControlInput, ConverterParams, PlantState, perturbed_params, simulate_cycle
+from .nmpc import NmpcConfig, solve
+from .plant import ControlInput, ConverterParams, simulate_cycle
+
+# `solve` and `simulate_cycle` are unused here: perfbench's tracer replaces
+# them in this module by name, so they stay importable from it
 
 __all__ = [
     "PolicyNetwork",
@@ -31,6 +34,7 @@ __all__ = [
     "forward_batch",
     "backprop_gradients",
     "train",
+    "sampling_box",
     "generate_dataset_random",
     "generate_dataset_trajectories",
     "save_network",
@@ -116,7 +120,7 @@ class Dataset:
     x: np.ndarray  # (n, 3)
     u: np.ndarray  # (n, 2)
     provenance: tuple  # one of PROVENANCES per sample
-    seed: int
+    seed: int = 0  # unread; perfbench still passes it
     discarded: int = 0
 
     def __len__(self):
@@ -124,13 +128,12 @@ class Dataset:
 
     @classmethod
     def concat(cls, first: "Dataset", *rest: "Dataset") -> "Dataset":
-        """Samples of all parts in order; seed from the first, discards summed."""
+        """Samples of all parts in order, discards summed."""
         parts = (first,) + rest
         return cls(
             x=np.vstack([p.x for p in parts]),
             u=np.vstack([p.u for p in parts]),
             provenance=sum((p.provenance for p in parts), ()),
-            seed=first.seed,
             discarded=sum(p.discarded for p in parts),
         )
 
@@ -148,7 +151,6 @@ class Dataset:
 
         Checked: every column is present, and every row has one field per
         column, finite numbers in the numeric columns and a known provenance.
-        The file records no seed; the dataset's is 0.
         """
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -174,7 +176,7 @@ class Dataset:
         bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
         if bad.size:
             raise ArgumentError(f"{path}, data row {bad[0] + 1}: a value is not finite")
-        return cls(x=a[:, :3].copy(), u=a[:, 3:].copy(), provenance=tuple(tags), seed=0)
+        return cls(x=a[:, :3].copy(), u=a[:, 3:].copy(), provenance=tuple(tags))
 
 
 @dataclass(frozen=True)
@@ -406,67 +408,12 @@ def train(data: Dataset, cfg: TrainConfig, net: Optional[PolicyNetwork] = None):
     return unflatten(best[1], np.float32), history
 
 
-def _label_draws(
-    n_draws: int,
-    steps: int,
-    config: NmpcConfig,
-    params: ConverterParams,
-    seed: int,
-    plant_error: float,
-    tag: str,
-) -> Dataset:
-    """The labelling loop behind the box-drawn dataset kinds.
-
-    Each draw takes a state and setpoint from the sampling box, then R/L
-    factors for the simulated plant when plant_error > 0.  Its first cycle
-    is labeled by a cold `solve`, the next steps - 1 by a warm-started
-    `RecedingHorizonController` on the nominal model, and between cycles
-    the plant advances under the label itself.  A draw whose cold solve
-    fails is discarded, without solving when its initial current already
-    breaks the ZVS sign rule of `NmpcSolution.initial_state_zvs_ok`;
-    sampling stops after 10 * n_draws draws.  Degraded warm steps are
-    discarded labels.
-    """
-    if n_draws < 1 or steps < 1:
-        raise ArgumentError("the number of draws and steps must be >= 1")
-    if not 0.0 <= plant_error < 1.0:
-        raise ArgumentError(f"plant_error must lie in [0, 1), got {plant_error}")
+def sampling_box(n: int, seed: int) -> np.ndarray:
+    """n inputs (i_o, v_c, p_des) drawn uniformly from the sampling box,
+    one column after the other."""
     rng = np.random.default_rng(seed)
-    xs, us = [], []
-    discarded = 0
-    kept = 0
-    budget = 10 * n_draws
-    while kept < n_draws and budget > 0:
-        budget -= 1
-        draw = rng.uniform(DEFAULT_INPUT_LO, DEFAULT_INPUT_HI)
-        state = PlantState(draw[0], draw[1])
-        p_des = draw[2]
-        plant = perturbed_params(params, rng, plant_error)
-        zvs_ok = state.i_o <= config.constraint_tol  # as NmpcSolution.initial_state_zvs_ok
-        first = solve(state, p_des, config, params) if zvs_ok else None
-        if first is None or first.status != "converged":
-            discarded += 1
-            continue
-        kept += 1
-        ctrl = RecedingHorizonController(config, params, fallback=first.first_input)
-        ctrl.last_solution = first
-        label, status = first.first_input, "converged"
-        for k in range(steps):
-            if k:
-                state = simulate_cycle(state, plant, label).state_end
-                label, status = ctrl.step(state, p_des)
-            if status != "converged":
-                discarded += 1
-                continue
-            xs.append([state.i_o, state.v_c, p_des])
-            us.append([label.f_sw, label.duty])
-    return Dataset(
-        x=np.array(xs).reshape(-1, 3),
-        u=np.array(us).reshape(-1, 2),
-        provenance=(tag,) * len(xs),
-        seed=seed,
-        discarded=discarded,
-    )
+    return np.column_stack([rng.uniform(lo, hi, n)
+                            for lo, hi in zip(DEFAULT_INPUT_LO, DEFAULT_INPUT_HI)])
 
 
 def generate_dataset_random(
@@ -481,7 +428,9 @@ def generate_dataset_random(
     The labelling loop with one cycle per draw: infeasible draws are
     discarded; sampling stops after a 10*n draw budget.
     """
-    return _label_draws(n, 1, config, params, seed, 0.0, "random-state")
+    from .harness import generate_dataset_box_draws  # harness imports this module
+
+    return generate_dataset_box_draws(n, 1, config, params, seed, 0.0, "random-state")
 
 
 def generate_dataset_trajectories(
@@ -501,7 +450,10 @@ def generate_dataset_trajectories(
     With plant_error > 0 each runs on a plant whose R and L are scaled by
     independent U[1 - e, 1 + e] factors; the controller keeps the model.
     """
-    return _label_draws(n_traj, steps, config, params, seed, plant_error, "trajectory")
+    from .harness import generate_dataset_box_draws  # harness imports this module
+
+    return generate_dataset_box_draws(n_traj, steps, config, params, seed, plant_error,
+                                      "trajectory")
 
 
 def save_network(net: PolicyNetwork, path):

@@ -13,12 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from resonmpc.nmpc import NmpcConfig
 from resonmpc.plant import ConverterParams
-from resonmpc.policy import Dataset, load_network
+from resonmpc.policy import Dataset, load_network, sampling_box
 from resonmpc.quant import load_quantized
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -80,9 +79,4 @@ def trained_qnet(artifact_paths):
 @pytest.fixture(scope="session")
 def sampling_box_points():
     """10,000 inputs drawn from the policy sampling box, fixed seed."""
-    rng = np.random.default_rng(424242)
-    return np.column_stack([
-        rng.uniform(-150.0, 150.0, 10000),
-        rng.uniform(-2000.0, 2000.0, 10000),
-        rng.uniform(0.0, 4000.0, 10000),
-    ])
+    return sampling_box(10000, seed=424242)

@@ -155,7 +155,7 @@ class TestDataGeneration:
         traj_train = Dataset(
             x=trajectory_dataset.x[tr_idx], u=trajectory_dataset.u[tr_idx],
             provenance=tuple(trajectory_dataset.provenance[i] for i in tr_idx),
-            seed=trajectory_dataset.seed, discarded=0,
+            discarded=0,
         )
         cfg = TrainConfig(epochs=3000, batch_size=64, seed=0,
                           validation_fraction=0.1)

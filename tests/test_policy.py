@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resonmpc import policy
+from resonmpc import nmpc, policy
 from resonmpc.errors import ArgumentError
 from resonmpc.harness import generate_dataset_closed_loop
 from resonmpc.nmpc import NmpcConfig
@@ -33,6 +33,7 @@ from resonmpc.policy import (
     init_network,
     load_network,
     loss_value,
+    sampling_box,
     save_network,
     train,
 )
@@ -118,6 +119,16 @@ def _wide_box_points(n, seed, widen=3.0):
     return np.random.default_rng(seed).uniform(c - h, c + h, size=(n, 3))
 
 
+@pytest.mark.parametrize("n, seed", [(4000, 3), (10000, 424242)])
+def test_sampling_box_draws_one_column_after_the_other(n, seed):
+    # the quantization calibration and the test fixture's points
+    rng = np.random.default_rng(seed)
+    expected = np.column_stack([rng.uniform(-150.0, 150.0, n),
+                                rng.uniform(-2000.0, 2000.0, n),
+                                rng.uniform(0.0, 4000.0, n)])
+    np.testing.assert_array_equal(sampling_box(n, seed), expected)
+
+
 def _worst_gradient_error(huber_delta):
     """Largest relative gap between backprop and central differences."""
     # promote stored 32-bit weights to 64-bit so the finite-difference
@@ -184,7 +195,6 @@ class TestTrain:
             x=np.array([[10.0, -300.0, 1500.0]]),
             u=np.array([[55e3, 0.45]]),
             provenance=("random-state",),
-            seed=0,
             discarded=0,
         )
         cfg = TrainConfig(epochs=2000, batch_size=1, validation_fraction=0.0, seed=0)
@@ -325,7 +335,7 @@ def _weight_bytes(net):
 
 
 def _head(data, n):
-    return Dataset(x=data.x[:n], u=data.u[:n], provenance=data.provenance[:n], seed=0)
+    return Dataset(x=data.x[:n], u=data.u[:n], provenance=data.provenance[:n])
 
 
 class TestTrainBitIdentity:
@@ -391,17 +401,57 @@ class TestDatasets:
 
     def test_draws_breaking_zvs_sign_are_not_solved(self, params, nmpc_config, monkeypatch):
         solved = []
-        inner = policy.solve
+        inner = nmpc.solve
 
         def recording(state, *args, **kwargs):
             solved.append(state)
             return inner(state, *args, **kwargs)
 
-        monkeypatch.setattr(policy, "solve", recording)
+        monkeypatch.setattr(nmpc, "solve", recording)
         data = generate_dataset_random(3, nmpc_config, params, seed=21)
         assert (len(data), data.discarded) == (3, 6)
         assert len(solved) == 3
         assert all(s.i_o <= nmpc_config.constraint_tol for s in solved)
+
+    def test_draw_whose_first_cycle_fails_is_discarded_whole(
+        self, params, nmpc_config, monkeypatch
+    ):
+        # seed 2's first three draws keep two cycles each, none discarded
+        full = generate_dataset_trajectories(3, 2, nmpc_config, params, seed=2)
+        assert (len(full), full.discarded) == (6, 0)
+        solved = []
+        inner = nmpc.solve
+
+        def first_fails(state, *args, **kwargs):
+            solved.append(state)
+            sol = inner(state, *args, **kwargs)
+            return replace(sol, status="infeasible") if len(solved) == 1 else sol
+
+        monkeypatch.setattr(nmpc, "solve", first_fails)
+        data = generate_dataset_trajectories(2, 2, nmpc_config, params, seed=2)
+        # the first draw ran both its cycles, and its second one converged,
+        # yet none became a row; the next two draws are kept in its place
+        assert (solved[0].i_o, solved[0].v_c) == tuple(full.x[0, :2])
+        assert len(solved) == 2 + len(data)
+        assert not any(s.i_o in data.x[:, 0] for s in solved[:2])
+        assert (len(data), data.discarded) == (4, 1)
+        np.testing.assert_array_equal(data.x, full.x[2:])
+        np.testing.assert_array_equal(data.u, full.u[2:])
+
+    @pytest.mark.parametrize("make, pin", [
+        # the last two are the calls of perfbench's `label` workload
+        (lambda c, p: generate_dataset_random(4, c, p, seed=5), ("7fac4ba2496bcb70", 4, 4)),
+        (lambda c, p: generate_dataset_trajectories(2, 4, c, p, seed=9, plant_error=0.15),
+         ("1033d71f61edacf5", 7, 4)),  # with a degraded warm step
+        (lambda c, p: generate_dataset_random(1, c, p, seed=0), ("65b03dd6cfea1b7e", 1, 1)),
+        (lambda c, p: generate_dataset_trajectories(1, 10, c, p, seed=0, plant_error=0.15),
+         ("33491436c6ebd544", 10, 3)),
+    ], ids=["random-4", "trajectories-2x4", "random-1", "trajectories-1x10"])
+    def test_box_draw_outputs_pinned(self, params, nmpc_config, make, pin):
+        data = make(nmpc_config, params)
+        digest = hashlib.sha256(data.x.tobytes() + data.u.tobytes()
+                                + repr(data.provenance).encode()).hexdigest()[:16]
+        assert (digest, len(data), data.discarded) == pin
 
     def test_reproduces_shipped_trajectory_rows(self, params, trajectory_dataset):
         # the first scenario of the shipped set's round 0 (build_artifacts.py)
@@ -430,12 +480,12 @@ class TestDatasets:
     def test_concat_keeps_order_and_sums_discards(self, trajectory_dataset):
         a = replace(trajectory_dataset, discarded=2)
         b = Dataset(x=np.ones((1, 3)), u=np.ones((1, 2)), provenance=("closed-loop",),
-                    seed=99, discarded=3)
+                    discarded=3)
         c = Dataset.concat(a, b)
         np.testing.assert_array_equal(c.x, np.vstack([a.x, b.x]))
         np.testing.assert_array_equal(c.u, np.vstack([a.u, b.u]))
         assert c.provenance == a.provenance + ("closed-loop",)
-        assert (c.seed, c.discarded) == (a.seed, 5)
+        assert c.discarded == 5
 
     def test_csv_roundtrip(self, tmp_path, trajectory_dataset):
         path = tmp_path / "data.csv"
