@@ -19,13 +19,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .errors import ArgumentError
-from .nmpc import (
-    WARMUP_INPUT,
-    CorrectionState,
-    NmpcConfig,
-    RecedingHorizonController,
-    apply_correction,
-)
+from .nmpc import WARMUP_INPUT, NmpcConfig, RecedingHorizonController
 from .plant import ControlInput, ConverterParams, PlantState, perturbed_params, simulate_cycle
 from .policy import DEFAULT_INPUT_HI, DEFAULT_INPUT_LO, Dataset, PolicyNetwork, forward
 from .quant import QuantizedNetwork, forward_q
@@ -55,7 +49,11 @@ DEFAULT_PI_FIXED_FREQ = 31e3
 # 2000 W, these settle soonest into +-2 %.
 DEFAULT_PI_FREQ_GAINS = (1.0, 3.0)  # Hz per W
 DEFAULT_PI_DUTY_GAINS = (2e-6, 6e-6)  # duty per W
+# the setpoint-correction rule of `Scenario.correction`
+CORRECTION_GAIN = 0.8  # share of the settled power error added to the command
+CORRECTION_DELAY = 5  # cycles waited after warm-up or a setpoint step
 CORRECTION_INTERVAL = 4  # cycles between setpoint-correction updates
+CORRECTION_CMD_MAX = 4000.0  # W, ceiling of the corrected command
 
 @dataclass(frozen=True)
 class Scenario:
@@ -74,9 +72,6 @@ class Scenario:
     controller: str
     warmup_cycles: int = 5
     correction: bool = False
-    correction_gain: float = 0.8
-    correction_delay: int = 5
-    correction_cmd_max: float = 4000.0
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_KINDS:
@@ -97,14 +92,6 @@ class Scenario:
             raise ArgumentError("warmup_cycles must be non-negative")
         if any(not p >= 0.0 for _, p in self.schedule):
             raise ArgumentError("schedule setpoints must be non-negative")
-        if not 0.0 < self.correction_gain <= 1.0:
-            raise ArgumentError(
-                f"correction_gain must lie in (0, 1], got {self.correction_gain}"
-            )
-        if self.correction_delay < 0:
-            raise ArgumentError("correction_delay must be non-negative")
-        if not self.correction_cmd_max >= 0.0:
-            raise ArgumentError("correction_cmd_max must be non-negative")
 
     def setpoint_at(self, cycle: int) -> float:
         p = self.schedule[0][1]
@@ -228,8 +215,8 @@ def run_closed_loop(
 
     state = x0
     t = 0.0
-    corr: Optional[CorrectionState] = None
     last_p_avg: Optional[float] = None
+    p_corr: Optional[float] = None  # corrected command, once correction starts
     corr_window: list = []  # measured powers since the last correction update
     seg_start = 0
     last_p_des = None
@@ -239,10 +226,10 @@ def run_closed_loop(
         if p_des != last_p_des:
             seg_start = cycle
             last_p_des = p_des
+            p_corr = None
         if cycle < sc.warmup_cycles:
             u, status = WARMUP_INPUT, "warmup"
             p_cmd = p_des
-            corr = None
         else:
             # correction waits out the step transient, counted from the last
             # setpoint change or the start of closed-loop control (whichever
@@ -254,22 +241,18 @@ def run_closed_loop(
             # integrator into a delayed loop that rings at loop gains the
             # settled cadence handles comfortably.
             transient_start = max(seg_start, sc.warmup_cycles)
-            if sc.correction and cycle - transient_start >= sc.correction_delay:
-                if corr is None or corr.p_des_orig != p_des:
-                    corr = CorrectionState(p_des, p_des, sc.correction_gain)
-                    corr_window = []
+            if sc.correction and cycle - transient_start >= CORRECTION_DELAY:
+                if p_corr is None:
+                    p_corr, corr_window = p_des, []
                 else:
-                    if last_p_avg is not None:
-                        corr_window.append(last_p_avg)
+                    corr_window.append(last_p_avg)
                     if len(corr_window) >= CORRECTION_INTERVAL:
                         settled = corr_window[CORRECTION_INTERVAL // 2:]
-                        corr = apply_correction(corr, sum(settled) / len(settled))
-                        clamped = min(max(corr.p_des_current, 0.0), sc.correction_cmd_max)
-                        corr = replace(corr, p_des_current=clamped)
+                        p_corr += CORRECTION_GAIN * (p_des - sum(settled) / len(settled))
+                        p_corr = min(max(p_corr, 0.0), CORRECTION_CMD_MAX)
                         corr_window = []
-                p_cmd = corr.p_des_current
+                p_cmd = p_corr
             else:
-                corr = None
                 p_cmd = p_des
             u, status = decide(state, p_cmd, 0.0 if last_p_avg is None else last_p_avg)
 
@@ -430,8 +413,8 @@ def run_param_grid(
 ) -> dict:
     """Steady-state tracking across a parameter-error grid, quantized policy.
 
-    Each cell runs 100 cycles after the warm-up, at the scenario's default
-    correction gain.  Returns {"cells": [...]} with one entry per
+    Each cell runs 100 cycles after the warm-up, under the setpoint-correction
+    rule when `correction` is set.  Returns {"cells": [...]} with one entry per
     (r_error, l_error, setpoint) combination carrying the steady-state error
     and ZVS violation rate.
     """
@@ -460,7 +443,7 @@ def run_param_grid(
                     "steady_state_error_w": m.steady_state_errors_w[-1],
                     "zvs_violation_pct": m.zvs_violation_pct,
                 })
-    return {"correction": correction, "correction_gain": Scenario.correction_gain,
+    return {"correction": correction, "correction_gain": CORRECTION_GAIN,
             "cells": cells}
 
 

@@ -30,10 +30,8 @@ from .plant import ControlInput, ConverterParams, PlantState, SegmentPropagator
 __all__ = [
     "NmpcConfig",
     "NmpcSolution",
-    "CorrectionState",
     "solve",
     "RecedingHorizonController",
-    "apply_correction",
     "brute_force_oracle",
     "WARMUP_INPUT",
 ]
@@ -102,25 +100,6 @@ class NmpcSolution:
     @property
     def first_input(self) -> ControlInput:
         return self.inputs[0]
-
-
-@dataclass(frozen=True)
-class CorrectionState:
-    """Setpoint-offset integrator driving the measured power to the target."""
-
-    p_des_orig: float
-    p_des_current: float
-    gain_k: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 < self.gain_k <= 1.0:
-            raise ArgumentError(f"gain_k must lie in (0, 1], got {self.gain_k}")
-
-
-def apply_correction(corr: CorrectionState, p_meas: float) -> CorrectionState:
-    """One step of the setpoint update: add K * (original - measured)."""
-    bumped = corr.p_des_current + corr.gain_k * (corr.p_des_orig - p_meas)
-    return replace(corr, p_des_current=bumped)
 
 
 class _Horizon:
@@ -415,19 +394,14 @@ class RecedingHorizonController:
     """Applies the first optimized input each cycle, warm-started by shifting.
 
     A failed warm-started solve is retried from the cold multi-start; if
-    that fails too, the previously applied input is kept and the step is
-    flagged as degraded.
+    that fails too, the previously applied input (`WARMUP_INPUT` before
+    any) is kept and the step is flagged as degraded.
     """
 
-    def __init__(
-        self,
-        config: NmpcConfig,
-        params: ConverterParams,
-        fallback: ControlInput = WARMUP_INPUT,
-    ):
+    def __init__(self, config: NmpcConfig, params: ConverterParams):
         self.config = config
         self.params = params
-        self.last_input = fallback
+        self.last_input = WARMUP_INPUT
         self.last_solution: Optional[NmpcSolution] = None
 
     def _shifted_warm(self) -> Optional[NmpcSolution]:

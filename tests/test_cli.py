@@ -88,8 +88,7 @@ _SECTION_KEYS = {
     "train": ["epochs", "batch_size", "step_size", "validation_fraction", "seed",
               "huber_delta"],
     "scenario": ["schedule", "total_cycles", "controller", "warmup_cycles", "correction",
-                 "correction_gain", "correction_delay", "correction_cmd_max", "r_error",
-                 "l_error"],
+                 "r_error", "l_error"],
 }
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                  | st.floats(allow_nan=True, allow_infinity=True)
@@ -117,15 +116,15 @@ def _scenario(**changes):
     return doc
 
 
-# each was a traceback or a silent coercion before the section was checked
+# each must be an ArgumentError, not a traceback or a silent coercion
 _MALFORMED_SCENARIO_VALUES = [
     {"schedule": 5}, {"schedule": [[1, "x"]]}, {"total_cycles": 40.5},
-    {"correction": "false"}, {"schedule": [[5.7, 2000]]}, {"correction_gain": True},
+    {"correction": "false"}, {"schedule": [[5.7, 2000]]}, {"correction": 1},
     {"schedule": [[5, 2000.0, 1]]}, {"schedule": [5, 2000.0]}, {"controller": 3},
-    {"schedule": [[5, float("nan")]]}, {"correction_delay": 2.5},
+    {"schedule": [[5, float("nan")]]}, {"warmup_cycles": 2.5},
     {"l_error": -1.0}, {"r_error": -1.5}, {"schedule": []},
-    {"correction_gain": 1.5}, {"correction_gain": 0.0}, {"correction_delay": -3},
-    {"correction_cmd_max": -10}, {"schedule": [[5, -100.0]]},
+    {"controller": "bang-bang"}, {"total_cycles": 3}, {"warmup_cycles": -3},
+    {"schedule": [[5, 2000.0], [5, 3000.0]]}, {"schedule": [[5, -100.0]]},
 ]
 
 
@@ -154,22 +153,28 @@ class TestConfigParsing:
             schedule=((5, 2500.0),), total_cycles=40,
             plant_params=ConverterParams(v_s=230.0, l_r=19e-6, r_l=2.9 * (1.0 + 0.15),
                                          c_r=1440e-9),
-            model_params=model, controller="dnn-quant", warmup_cycles=5,
-            correction=True, correction_gain=0.8, correction_delay=5, correction_cmd_max=4000.0)
+            model_params=model, controller="dnn-quant", warmup_cycles=5, correction=True)
 
     def test_every_scenario_key_read(self):
         doc = {"converter": {"v_s": 200, "l_r": 2e-5, "r_l": 3, "c_r": 1.5e-6},
                "scenario": {"schedule": [[3, 1000], [20, 3000.0]], "total_cycles": 50,
                             "controller": "pi-freq", "warmup_cycles": 3, "correction": False,
-                            "correction_gain": 0.5, "correction_delay": 4, "correction_cmd_max": 3500, "r_error": -0.1, "l_error": 0.2}}
+                            "r_error": -0.1, "l_error": 0.2}}
         cfg = parse_config(doc)
         assert cfg.scenario == Scenario(
             schedule=((3, 1000.0), (20, 3000.0)), total_cycles=50,
             plant_params=ConverterParams(v_s=200.0, l_r=2e-5 * (1.0 + 0.2), r_l=3.0 * (1.0 - 0.1),
                                          c_r=1.5e-6),
             model_params=cfg.converter, controller="pi-freq", warmup_cycles=3,
-            correction=False, correction_gain=0.5, correction_delay=4, correction_cmd_max=3500.0)
+            correction=False)
         assert all(type(p) is float for _, p in cfg.scenario.schedule)
+
+    @pytest.mark.parametrize("key, value", [
+        ("correction_gain", 0.8), ("correction_delay", 5), ("correction_cmd_max", 4000.0)])
+    def test_correction_constants_are_not_keys(self, key, value):
+        # the rule's settings are constants in harness.py, even at their values
+        with pytest.raises(ArgumentError, match=f"unknown scenario config keys: .*{key}"):
+            parse_config({"scenario": _scenario(correction=True, **{key: value})})
 
     @pytest.mark.parametrize("doc", [{}, {"scenario": None}, {"scenario": {}}])
     def test_no_scenario(self, doc):

@@ -14,6 +14,10 @@ from resonmpc import nmpc
 from resonmpc.errors import ArgumentError
 from resonmpc.harness import (
     CONTROLLER_KINDS,
+    CORRECTION_CMD_MAX,
+    CORRECTION_DELAY,
+    CORRECTION_GAIN,
+    CORRECTION_INTERVAL,
     TRACE_COLUMNS,
     CycleRecord,
     RunMetrics,
@@ -176,21 +180,41 @@ class TestRunClosedLoop:
         # the corrected command moves away from the raw setpoint
         assert rec_on[-1].p_des_corrected_w != rec_on[-1].p_des_w
 
-    def test_correction_command_clamped(self, params, trained_net):
-        sc = make_scenario(params, schedule=((5, 3000.0),), total_cycles=60,
-                           correction=True, correction_cmd_max=3100.0)
-        records, _ = run_closed_loop(sc, net=trained_net)
-        assert all(r.p_des_corrected_w <= 3100.0 for r in records)
+    def test_correction_command_clamped(self, params, trained_qnet):
+        # a weak plant cannot deliver 3900 W: the command climbs to its ceiling
+        plant = replace(params, r_l=params.r_l * 1.15, l_r=params.l_r * 1.15)
+        sc = make_scenario(params, controller="dnn-quant", schedule=((5, 3900.0),),
+                           total_cycles=80, plant_params=plant, correction=True)
+        records, _ = run_closed_loop(sc, qnet=trained_qnet)
+        assert max(r.p_des_corrected_w for r in records) == CORRECTION_CMD_MAX
 
     def test_correction_waits_out_transient(self, params, trained_net):
         sc = make_scenario(params, schedule=((5, 2000.0),), total_cycles=25,
-                           correction=True, correction_delay=8)
+                           correction=True)
         records, _ = run_closed_loop(sc, net=trained_net)
-        # delay counts from the end of warmup (cycle 5): the first cycle the
-        # integrator can move the command is 5 + 8 + 1
-        for r in records[5:14]:
-            assert r.p_des_corrected_w == r.p_des_w
-        assert any(r.p_des_corrected_w != r.p_des_w for r in records[14:])
+        # the delay counts from the end of warm-up (cycle 5); the rule then
+        # starts its window and first moves the command one interval later
+        moved = next(r.cycle for r in records if r.p_des_corrected_w != r.p_des_w)
+        assert moved == 5 + CORRECTION_DELAY + CORRECTION_INTERVAL == 14
+
+    def test_correction_update_shrinks_error(self, params):
+        # the solver on the nominal model of a +15 % R plant: each update adds
+        # the gain times the error of the window's settled (last two) powers
+        plant = replace(params, r_l=params.r_l * 1.15)
+        sc = make_scenario(params, controller="exact-nmpc", total_cycles=40,
+                           plant_params=plant, correction=True)
+        records, _ = run_closed_loop(sc)
+        updates = [r.cycle for r, before in zip(records[1:], records)
+                   if r.p_des_corrected_w != before.p_des_corrected_w]
+        assert updates == list(range(14, 40, CORRECTION_INTERVAL))
+        for k in updates:
+            settled = [r.p_avg_w for r in records[k - 2:k]]
+            expected = (records[k - 1].p_des_corrected_w
+                        + CORRECTION_GAIN * (2000.0 - sum(settled) / len(settled)))
+            assert records[k].p_des_corrected_w == min(max(expected, 0.0), CORRECTION_CMD_MAX)
+        errors = [abs(records[k].p_avg_w - 2000.0) for k in updates]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[0] > 20.0 and errors[-1] < 0.1
 
 
 class TestBenchmark:
@@ -280,14 +304,14 @@ class TestClosedLoopDataset:
 
 
 # sha256 of write_trace_csv's bytes for one run of each controller kind,
-# recorded with the hand-written column list the derived one replaced; the
-# network kinds' entries change whenever the shipped networks are rebuilt
+# recorded when the correction rule's settings were still Scenario fields;
+# the network kinds' entries change whenever the shipped networks are rebuilt
 _TRACE_SHA256 = {
-    "exact-nmpc": "b8e190b392202ec9f70b64347293fc61e45c66d66a13e71b6a2949987c6afaee",
-    "dnn": "e565b5132849462d0d0b5ee7ef837064906b095ebfa674aa81a8c4de1930ccf5",
-    "dnn-quant": "7023e0290a5d9149f88d48a618c52457a35289b2fb735fd77795f01361e54fb0",
-    "pi-freq": "9742dc1c18937c8a400a38734f56889432a0ee9a2d6885f4d9cfc854c93160c7",
-    "pi-duty": "4bd186757534166c6565a63a291e954dec454cbbdbd11d7aeef38afac8194662",
+    "exact-nmpc": "43bb3a67320e84fbf79348a29582beca1e961dc61765db92655b7bf51e4f3be2",
+    "dnn": "6c60b381eaf00ef0b07e05472bef6bb75871d402607ee9b3293fcb9a9c68fb9b",
+    "dnn-quant": "0c7e168222f2a0f94a2200c987a104e048769b2b0f7af7554f0f7b22975aa42b",
+    "pi-freq": "6853bd8c7652dcc0902384f6fd2684de2e083e533d0d7f7ffe09f9b0162d85da",
+    "pi-duty": "e78d69884c0d71e858913fe39b380c0c1e402bd1dc76edd6114cb2690fda5361",
 }
 
 
@@ -303,7 +327,7 @@ class TestOutputFiles:
         n = 20 if kind == "exact-nmpc" else 60
         sc = make_scenario(params, controller=kind, schedule=((5, 1500.0), (n // 2, 2500.0)),
                            total_cycles=n, plant_params=replace(params, r_l=params.r_l * 1.1),
-                           correction=True, correction_delay=3)
+                           correction=True)
         records, _ = run_closed_loop(sc, net=trained_net, qnet=trained_qnet)
         path = tmp_path / "trace.csv"
         write_trace_csv(records, path)

@@ -1,6 +1,6 @@
 """Horizon solver checks: oracle dominance, constraint handling,
-receding-horizon behavior, the setpoint-correction rule, and recorded
-outputs the solver must reproduce bit for bit.
+receding-horizon behavior, and recorded outputs the solver must reproduce
+bit for bit.
 """
 
 import math
@@ -12,12 +12,11 @@ import pytest
 import resonmpc.nmpc as nmpc_mod
 from resonmpc.errors import ArgumentError
 from resonmpc.nmpc import (
-    CorrectionState,
+    WARMUP_INPUT,
     NmpcConfig,
     RecedingHorizonController,
     _horizon,
     _pairs_from_z,
-    apply_correction,
     brute_force_oracle,
     solve,
 )
@@ -124,15 +123,23 @@ class TestRecedingHorizon:
         assert p == pytest.approx(2200.0, rel=0.02)
 
     def test_degraded_step_keeps_last_input(self, params, nmpc_config, monkeypatch):
-        # an unreachable setpoint from a hostile state may fail; the
-        # controller must then re-apply its previous input
+        # an unreachable setpoint from a hostile state, with the solver cut
+        # to one iteration, fails; the controller re-applies its previous input
         monkeypatch.setattr(nmpc_mod, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(nmpc_mod, "PENALTY_MAX", 1e6)
         ctrl = RecedingHorizonController(nmpc_config, params)
         ctrl.last_input = ControlInput(50e3, 0.5)
-        u, status = ctrl.step(PlantState(149.0, -1990.0), 3000.0)
-        if status == "degraded":
-            assert u == ControlInput(50e3, 0.5)
+        assert ctrl.step(PlantState(149.0, -1990.0), 3000.0) == (
+            ControlInput(50e3, 0.5), "degraded")
+
+    def test_first_solve_failing_applies_warmup_input(self, params, nmpc_config,
+                                                       monkeypatch):
+        # with no input applied yet, a failed solve falls back to WARMUP_INPUT
+        monkeypatch.setattr(nmpc_mod, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(nmpc_mod, "PENALTY_MAX", 1e6)
+        ctrl = RecedingHorizonController(nmpc_config, params)
+        assert ctrl.step(PlantState(149.0, -1990.0), 3000.0) == (WARMUP_INPUT, "degraded")
+        assert ctrl.last_solution is None
 
     def test_failed_warm_start_retries_cold(self, params, nmpc_config, monkeypatch):
         # once the controller has history, a warm-started solve that fails
@@ -193,36 +200,6 @@ class TestNearCriticalDamping:
         assert _horizon(critical, nmpc_config)._degenerate
         sol = solve(PlantState(0.0, 0.0), 1000.0, nmpc_config, critical)
         assert sol.status == "converged"
-
-
-class TestCorrection:
-    def test_single_update_rule(self):
-        c = CorrectionState(p_des_orig=1000.0, p_des_current=1000.0, gain_k=0.8)
-        c = apply_correction(c, 900.0)
-        assert c.p_des_current == pytest.approx(1080.0)
-
-    def test_zero_error_is_fixed_point(self):
-        c = CorrectionState(1500.0, 1600.0, 0.8)
-        assert apply_correction(c, 1500.0).p_des_current == pytest.approx(1600.0)
-
-    def test_geometric_convergence_with_param_error(self, params, nmpc_config):
-        # plant with +15% load resistance, controller on nominal model:
-        # repeated correction shrinks |p_meas - p_des_orig| cycle over cycle
-        from dataclasses import replace as drep
-        plant = drep(params, r_l=params.r_l * 1.15)
-        ctrl = RecedingHorizonController(nmpc_config, params)
-        corr = CorrectionState(2000.0, 2000.0, 0.8)
-        state = PlantState(0.0, 0.0)
-        errors = []
-        for k in range(8):
-            u, _ = ctrl.step(state, corr.p_des_current)
-            res = simulate_cycle(state, plant, u)
-            state = res.state_end
-            if k >= 2:  # skip the initial transient
-                errors.append(abs(res.p_avg - corr.p_des_orig))
-            corr = apply_correction(corr, res.p_avg)
-        assert errors[-1] < errors[0]
-        assert errors[-1] < 5.0
 
 
 # Solver outputs as float.hex, recorded from the solver whose gradient made
